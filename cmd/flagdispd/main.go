@@ -1,11 +1,12 @@
 // Command flagdispd is the sweep fabric's dispatcher: it owns a durable,
 // crash-recoverable job queue and a disk-backed content-addressed result
-// store, accepts sweeps on the same wire DTOs as flagsimd
-// (POST /v1/run, POST /v1/sweep), and farms the work out to flagworkd
-// workers over expiring leases. Results the store already holds are
-// served warm without touching the fleet; everything else is journaled
-// durably before the enqueue is acknowledged, so a kill -9 at any moment
-// loses no accepted work.
+// store, serves POST /v1/run and POST /v1/sweep through the same front
+// end as flagsimd (wire DTOs, status codes, X-Run-ID, GET /v1/runs;
+// only ?trace=chrome, an in-process run, answers 400 here), and farms
+// the work out to flagworkd workers over expiring leases. Results the
+// store already holds are served warm without touching the fleet;
+// everything else is journaled durably before the enqueue is
+// acknowledged, so a kill -9 at any moment loses no accepted work.
 //
 // Usage:
 //

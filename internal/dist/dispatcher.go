@@ -1,10 +1,11 @@
 package dist
 
 // The dispatcher: flagdispd's serving core. It owns the durable queue
-// and the result store, speaks the client surface (/v1/run, /v1/sweep —
-// same wire DTOs as flagsimd) on one side and the worker protocol
-// (register/lease/renew/report) on the other, and serves anything the
-// result tier already holds without touching the fleet.
+// and the result store, serves the client surface (/v1/run, /v1/sweep)
+// through the same server.Frontend as flagsimd — the dispatcher is that
+// front end's fleet Backend — speaks the worker protocol
+// (register/lease/renew/report) on the other side, and serves anything
+// the result tier already holds without touching the fleet.
 
 import (
 	"context"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"flagsim/internal/obs"
+	"flagsim/internal/server"
 	"flagsim/internal/wire"
 	"flagsim/internal/workload"
 )
@@ -38,8 +40,8 @@ type DispatcherConfig struct {
 	// WorkerWindow bounds how stale a worker's last contact may be while
 	// still counting as registered in /metrics. Default 30s.
 	WorkerWindow time.Duration
-	// MaxSweepSpecs caps one /v1/sweep request's expanded grid;
-	// default 4096 (matches flagsimd).
+	// MaxSweepSpecs caps one /v1/sweep request's expanded grid (and each
+	// replayed sweep); default 4096 (matches flagsimd).
 	MaxSweepSpecs int
 	// JobRingSize bounds the in-memory job timeline ring backing
 	// /v1/jobs and the phase histograms; default 256. Timelines are
@@ -129,22 +131,23 @@ type QueueView struct {
 	Workers int        `json:"workers"`
 }
 
-// Dispatcher is the flagdispd serving core. Create one with
-// NewDispatcher; it is safe for concurrent use.
+// Dispatcher is the flagdispd serving core: the shared server.Frontend
+// plus the fleet Backend (store lookup, durable enqueue, waiting on the
+// workers). Create one with NewDispatcher; it is safe for concurrent
+// use.
 type Dispatcher struct {
+	*server.Frontend
 	cfg   DispatcherConfig
 	queue *Queue
 	store *ResultStore
-	reg   *obs.Registry
 	log   *slog.Logger
-	mux   *http.ServeMux
 	now   func() time.Time
 	start time.Time
 
 	// ring holds recent job lifecycle timelines; phase* are the cached
 	// per-phase histogram series, resolved once so the report path
 	// observes without touching the vec's lookup lock.
-	ring          *obs.JobRing
+	ring          *obs.Ring[obs.JobTimeline]
 	phaseQueue    *obs.Histogram
 	phaseCompute  *obs.Histogram
 	phaseStore    *obs.Histogram
@@ -174,47 +177,44 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	}
 	d := &Dispatcher{
 		cfg: cfg, queue: queue, store: store,
-		reg: obs.NewRegistry(), log: cfg.Logger,
+		log: cfg.Logger,
 		now: cfg.Now, start: cfg.Now(),
-		ring:    obs.NewJobRing(cfg.JobRingSize),
+		ring:    obs.NewRing[obs.JobTimeline](cfg.JobRingSize),
 		workers: make(map[string]*workerInfo),
 	}
-	obs.RegisterDistDispatcher(d.reg, d.statsSnapshot)
-	phases := obs.RegisterDistPhases(d.reg)
+	reg := obs.NewRegistry()
+	obs.RegisterDistDispatcher(reg, d.statsSnapshot)
+	phases := obs.RegisterDistPhases(reg)
 	d.phaseQueue = phases.With("queue_wait")
 	d.phaseCompute = phases.With("compute")
 	d.phaseStore = phases.With("store")
 	d.phaseEndToEnd = phases.With("end_to_end")
-	obs.RegisterDistWorkerFederation(d.reg, d.workerRows)
-	obs.RegisterGoRuntime(d.reg)
+	obs.RegisterDistWorkerFederation(reg, d.workerRows)
+	obs.RegisterGoRuntime(reg)
+	d.Frontend = server.NewFrontend("flagdispd", d, reg, server.Config{
+		MaxSweepSpecs: cfg.MaxSweepSpecs, DrainTimeout: cfg.DrainTimeout, Logger: cfg.Logger,
+	})
 	// Journal recovery may have carried pending jobs over; give each a
 	// fresh timeline so its remaining lifecycle is still observable.
 	// Completed jobs get none — their lifecycles died with the previous
 	// process, and /v1/jobs/{key} honestly 404s for them.
 	for _, job := range queue.PendingJobs() {
-		d.ring.Begin(obs.JobTimeline{
+		d.ring.Insert(obs.JobTimeline{
 			Key: job.KeyHex, RunID: obs.NewRunID(), Spec: job.Label(),
 			Enqueued: d.now(),
 		})
 	}
-	d.mux = http.NewServeMux()
-	d.mux.HandleFunc("/v1/run", d.handleRun)
-	d.mux.HandleFunc("/v1/sweep", d.handleSweep)
-	d.mux.HandleFunc("/v1/workers/register", d.handleRegister)
-	d.mux.HandleFunc("/v1/workers/lease", d.handleLease)
-	d.mux.HandleFunc("/v1/workers/renew", d.handleRenew)
-	d.mux.HandleFunc("/v1/workers/report", d.handleReport)
-	d.mux.HandleFunc("/v1/queue", d.handleQueue)
-	d.mux.HandleFunc("/v1/jobs", d.handleJobs)
-	d.mux.HandleFunc("/v1/jobs/{key}", d.handleJob)
-	d.mux.HandleFunc("/v1/jobs/{key}/trace", d.handleJobTrace)
-	d.mux.HandleFunc("/healthz", d.handleHealthz)
-	d.mux.HandleFunc("/metrics", d.handleMetrics)
+	d.HandleFunc("/v1/workers/register", server.Only(http.MethodPost, d.handleRegister))
+	d.HandleFunc("/v1/workers/lease", server.Only(http.MethodPost, d.handleLease))
+	d.HandleFunc("/v1/workers/renew", server.Only(http.MethodPost, d.handleRenew))
+	d.HandleFunc("/v1/workers/report", server.Only(http.MethodPost, d.handleReport))
+	d.HandleFunc("/v1/queue", d.handleQueue)
+	d.HandleFunc("/v1/jobs", server.Only(http.MethodGet, d.handleJobs))
+	d.HandleFunc("/v1/jobs/{key}", server.Only(http.MethodGet, d.handleJob))
+	d.HandleFunc("/v1/jobs/{key}/trace", server.Only(http.MethodGet, d.handleJobTrace))
+	d.HandleFunc("/healthz", d.handleHealthz)
 	return d, nil
 }
-
-// Handler returns the dispatcher's HTTP handler (for embedding or tests).
-func (d *Dispatcher) Handler() http.Handler { return d.mux }
 
 // Queue exposes the durable queue (tests and replay tooling).
 func (d *Dispatcher) Queue() *Queue { return d.queue }
@@ -225,11 +225,11 @@ func (d *Dispatcher) Store() *ResultStore { return d.store }
 // Close syncs and releases the durable state.
 func (d *Dispatcher) Close() error { return d.queue.Close() }
 
-// Serve serves on ln until ctx is canceled, then drains gracefully. A
-// background ticker expires overdue leases while serving, so jobs held
-// by vanished workers requeue even when no worker calls poke the queue.
+// Serve serves on ln until ctx is canceled, then drains gracefully (see
+// server.Frontend.Serve). A background ticker expires overdue leases
+// while serving, so jobs held by vanished workers requeue even when no
+// worker calls poke the queue.
 func (d *Dispatcher) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: d.mux}
 	tickCtx, stopTick := context.WithCancel(context.Background())
 	defer stopTick()
 	go func() {
@@ -246,38 +246,16 @@ func (d *Dispatcher) Serve(ctx context.Context, ln net.Listener) error {
 			}
 		}
 	}()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), d.cfg.DrainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		return fmt.Errorf("dist: drain incomplete: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
-
-// ListenAndServe binds addr and serves until ctx is canceled.
-func (d *Dispatcher) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return d.Serve(ctx, ln)
+	return d.Frontend.Serve(ctx, ln)
 }
 
 // ReplayTrace admission-replays a captured FSWL workload trace: every
 // simulation request in the capture is decoded, expanded (sweeps), and
 // enqueued — pre-warming the fleet with exactly the work production
-// traffic asked for. Non-simulation records and undecodable bodies are
-// skipped and counted, not fatal: a capture may span API versions.
+// traffic asked for. Records are held to the front end's rules (strict
+// decoding, the sweep grid cap); non-simulation records and bodies the
+// front end would refuse are skipped and counted, not fatal: a capture
+// may span API versions.
 func (d *Dispatcher) ReplayTrace(path string) (added, deduped, skipped int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -297,40 +275,29 @@ func (d *Dispatcher) ReplayTrace(path string) (added, deduped, skipped int, err 
 		if err != nil {
 			return added, deduped, skipped, err
 		}
+		var reqs []wire.RunRequest
 		switch workload.InferKind(rec.Path, rec.Body) {
 		case workload.KindRun, workload.KindFaultedRun, workload.KindTraceRun:
 			var req wire.RunRequest
-			if strictUnmarshal(rec.Body, &req) != nil {
-				skipped++
-				continue
+			err = wire.Decode(rec.Body, &req)
+			reqs = []wire.RunRequest{req}
+		case workload.KindSweep:
+			var sreq wire.SweepRequest
+			if err = wire.Decode(rec.Body, &sreq); err == nil && sreq.Size() <= d.cfg.MaxSweepSpecs {
+				reqs, err = sreq.Expand()
 			}
+		}
+		if err != nil || len(reqs) == 0 {
+			skipped++
+			continue
+		}
+		for _, req := range reqs {
 			job, err := NewJob(req)
 			if err != nil {
 				skipped++
 				continue
 			}
 			jobs = append(jobs, job)
-		case workload.KindSweep:
-			var sreq wire.SweepRequest
-			if strictUnmarshal(rec.Body, &sreq) != nil {
-				skipped++
-				continue
-			}
-			reqs, err := sreq.Expand()
-			if err != nil {
-				skipped++
-				continue
-			}
-			for _, req := range reqs {
-				job, err := NewJob(req)
-				if err != nil {
-					skipped++
-					continue
-				}
-				jobs = append(jobs, job)
-			}
-		default:
-			skipped++
 		}
 	}
 	// Jobs whose result the tier already holds need no fleet time.
@@ -354,7 +321,7 @@ func (d *Dispatcher) ReplayTrace(path string) (added, deduped, skipped int, err 
 func (d *Dispatcher) EnqueueJobs(jobs []Job) (added, deduped int, err error) {
 	now := d.now()
 	for _, job := range jobs {
-		d.ring.Begin(obs.JobTimeline{
+		d.ring.Insert(obs.JobTimeline{
 			Key: job.KeyHex, RunID: obs.NewRunID(), Spec: job.Label(), Enqueued: now,
 		})
 	}
@@ -464,204 +431,124 @@ func (d *Dispatcher) clampTTL(ms int64) time.Duration {
 	return ttl
 }
 
-// runIDFrom resolves the request's run identifier: a well-formed
-// client-supplied X-Run-ID propagates verbatim (so a caller's ID names
-// the work on every hop); anything else gets a fresh mint. The resolved
-// ID is always echoed back in the response header.
-func runIDFrom(r *http.Request) string {
-	if id := r.Header.Get("X-Run-ID"); ValidRunID(id) {
-		return id
+// errTraceLocal refuses ?trace=chrome: that trace is one engine run
+// executed in-process, which only flagsimd does.
+var errTraceLocal = errors.New("dist: ?trace=chrome needs an in-process engine run, which flagdispd does not do; trace a fleet job with GET /v1/jobs/{key}/trace")
+
+// errNoResult reports a job the queue completed without a stored result.
+var errNoResult = errors.New("dist: completed job has no stored result")
+
+// Run is the fleet Backend's single run: served from the result store
+// when warm, otherwise submitted to the fleet under the request's run
+// ID.
+func (d *Dispatcher) Run(ctx context.Context, call server.RunCall) (server.Reply, error) {
+	if call.Trace {
+		return server.Reply{}, &server.StatusError{Code: http.StatusBadRequest, Err: errTraceLocal}
 	}
-	return obs.NewRunID()
+	job := Job{KeyHex: hex.EncodeToString(call.Key[:]), Req: call.Req}
+	raw, warm := d.store.Get(call.Key)
+	if !warm {
+		if _, _, err := d.submit(ctx, []Job{job}, call.RunID); err != nil {
+			return server.Reply{}, err
+		}
+		if _, errMsg := d.queue.Status(call.Key); errMsg != "" {
+			return server.Reply{}, &server.StatusError{Code: http.StatusUnprocessableEntity, Err: errors.New(errMsg)}
+		}
+		var ok bool
+		if raw, ok = d.store.Get(call.Key); !ok {
+			return server.Reply{}, errNoResult
+		}
+	}
+	return server.Reply{CacheHit: warm, Body: RunFleetResponse{
+		Key: job.KeyHex, Spec: call.Spec.Label(), RunID: call.RunID, Warm: warm, Result: raw,
+	}}, nil
 }
 
-func (d *Dispatcher) handleRun(w http.ResponseWriter, r *http.Request) {
-	if !postOnly(w, r) {
-		return
-	}
-	runID := runIDFrom(r)
-	w.Header().Set("X-Run-ID", runID)
-	var req wire.RunRequest
-	if err := readBody(r, &req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	job, err := NewJob(req)
-	if err != nil {
-		writeJSONError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	key := job.Key()
-	if raw, ok := d.store.Get(key); ok {
-		d.writeRunReply(w, job, runID, true, raw)
-		return
-	}
-	// Begin the timeline before the job becomes leasable: once Enqueue
-	// returns, a worker may already hold it, and a late Begin would miss
-	// the lease stamp.
-	d.beginTimelines([]Job{job}, runID)
-	if _, _, err := d.queue.Enqueue([]Job{job}); err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err)
-		return
-	}
-	select {
-	case <-r.Context().Done():
-		writeJSONError(w, statusForCtx(r.Context()), r.Context().Err())
-		return
-	case <-d.queue.DoneCh(key):
-	}
-	if _, errMsg := d.queue.Status(key); errMsg != "" {
-		writeJSONError(w, http.StatusUnprocessableEntity, errors.New(errMsg))
-		return
-	}
-	raw, ok := d.store.Get(key)
-	if !ok {
-		writeJSONError(w, http.StatusInternalServerError,
-			errors.New("dist: completed job has no stored result"))
-		return
-	}
-	d.writeRunReply(w, job, runID, false, raw)
-}
-
-func (d *Dispatcher) writeRunReply(w http.ResponseWriter, job Job, runID string, warm bool, raw []byte) {
-	writeJSONValue(w, http.StatusOK, RunFleetResponse{
-		Key: job.KeyHex, Spec: job.Label(), RunID: runID, Warm: warm, Result: raw,
-	})
-}
-
-// beginTimelines opens a lifecycle timeline for each job under the given
-// run ID. Keys already resident keep their original timeline (dedup'd
-// resubmissions observe, they don't reset).
-func (d *Dispatcher) beginTimelines(jobs []Job, runID string) {
-	now := d.now()
-	for _, job := range jobs {
-		d.ring.Begin(obs.JobTimeline{
-			Key: job.KeyHex, RunID: runID, Spec: job.Label(), Enqueued: now,
-		})
-	}
-}
-
-func (d *Dispatcher) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if !postOnly(w, r) {
-		return
-	}
+// Sweep is the fleet Backend's grid: rows the result tier holds are
+// warm, the other distinct keys are submitted to the fleet once (a
+// within-request duplicate still gets its own row, like flagsimd's
+// within-batch cache hits), and rows keep expansion order.
+func (d *Dispatcher) Sweep(ctx context.Context, call server.SweepCall) (server.Reply, error) {
 	start := d.now()
-	runID := runIDFrom(r)
-	w.Header().Set("X-Run-ID", runID)
-	var sreq wire.SweepRequest
-	if err := readBody(r, &sreq); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	reqs, err := sreq.Expand()
-	if err != nil {
-		writeJSONError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	if len(reqs) > d.cfg.MaxSweepSpecs {
-		writeJSONError(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("dist: sweep expands to %d specs, cap is %d", len(reqs), d.cfg.MaxSweepSpecs))
-		return
-	}
-	jobs := make([]Job, len(reqs))
-	for i, req := range reqs {
-		if jobs[i], err = NewJob(req); err != nil {
-			writeJSONError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-	}
-
-	resp := SweepFleetResponse{Count: len(jobs)}
-	// Partition: rows the tier already answers vs work for the fleet.
-	// Within-request duplicates enqueue once (queue dedup) but still get
-	// their own row, like flagsimd's within-batch cache hits.
-	warm := make(map[Key]bool, len(jobs))
+	keys := make([]Key, len(call.Specs))
+	warm := make(map[Key]bool, len(call.Specs)) // every distinct key: stored?
 	var cold []Job
-	seen := make(map[Key]bool, len(jobs))
-	for _, job := range jobs {
-		key := job.Key()
-		if seen[key] {
+	for i, spec := range call.Specs {
+		key := spec.Key()
+		keys[i] = key
+		if _, seen := warm[key]; seen {
 			continue
 		}
-		seen[key] = true
-		if d.store.Has(key) {
-			warm[key] = true
-			continue
+		if warm[key] = d.store.Has(key); !warm[key] {
+			cold = append(cold, Job{KeyHex: hex.EncodeToString(key[:]), Req: call.Reqs[i]})
 		}
-		cold = append(cold, job)
 	}
-	// All of this sweep's cold jobs share the request's run ID: one grep
-	// finds the whole batch across every process.
-	d.beginTimelines(cold, runID)
-	added, deduped, err := d.queue.Enqueue(cold)
+	added, deduped, err := d.submit(ctx, cold, call.RunID)
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err)
-		return
+		return server.Reply{}, err
 	}
-	resp.Warm = len(warm)
-	resp.Computed = added
-	resp.Deduped = deduped
-	d.log.Info("sweep accepted",
-		slog.String("run_id", runID),
-		slog.Int("specs", len(jobs)), slog.Int("warm", resp.Warm),
-		slog.Int("enqueued", added), slog.Int("deduped", deduped))
-
-	for key := range seen {
-		if warm[key] {
-			continue
-		}
-		select {
-		case <-r.Context().Done():
-			writeJSONError(w, statusForCtx(r.Context()), r.Context().Err())
-			return
-		case <-d.queue.DoneCh(key):
-		}
-	}
-
-	for _, job := range jobs {
-		key := job.Key()
-		row := wire.SweepRunRow{Spec: job.Label(), CacheHit: warm[key]}
-		if _, errMsg := d.queue.Status(key); errMsg != "" && !warm[key] {
-			row.Err = errMsg
+	resp := SweepFleetResponse{Count: len(keys), Warm: len(warm) - len(cold), Computed: added, Deduped: deduped}
+	for i, key := range keys {
+		row := wire.SweepRunRow{Spec: call.Specs[i].Label(), CacheHit: warm[key]}
+		if err := d.fillRow(&row, key); err != nil {
+			row.Err = err.Error()
 			resp.Failed++
-			resp.Runs = append(resp.Runs, row)
-			continue
 		}
-		raw, ok := d.store.Get(key)
-		if !ok {
-			row.Err = "dist: completed job has no stored result"
-			resp.Failed++
-			resp.Runs = append(resp.Runs, row)
-			continue
-		}
-		var res wire.SimResult
-		if err := json.Unmarshal(raw, &res); err != nil {
-			row.Err = fmt.Sprintf("dist: stored result undecodable: %v", err)
-			resp.Failed++
-			resp.Runs = append(resp.Runs, row)
-			continue
-		}
-		row.MakespanNS = res.MakespanNS
-		row.Events = res.Events
-		row.GridSHA256 = res.GridSHA256
 		resp.Runs = append(resp.Runs, row)
 	}
 	resp.WallNS = int64(d.now().Sub(start))
-	writeJSONValue(w, http.StatusOK, resp)
+	return server.Reply{Body: resp, CacheHit: len(cold) == 0}, nil
+}
+
+// submit enqueues jobs durably under runID and waits until each one
+// completes. All of a request's jobs share its run ID, so one grep finds
+// the whole batch across every process. Timelines begin before the jobs
+// become leasable: once Enqueue returns a worker may already hold one,
+// and a later Insert would miss the lease stamp.
+func (d *Dispatcher) submit(ctx context.Context, jobs []Job, runID string) (added, deduped int, err error) {
+	if len(jobs) == 0 {
+		return 0, 0, nil
+	}
+	now := d.now()
+	for _, job := range jobs {
+		d.ring.Insert(obs.JobTimeline{Key: job.KeyHex, RunID: runID, Spec: job.Label(), Enqueued: now})
+	}
+	if added, deduped, err = d.queue.Enqueue(jobs); err != nil {
+		return added, deduped, err
+	}
+	d.log.Info("jobs enqueued", slog.String("run_id", runID),
+		slog.Int("jobs", len(jobs)), slog.Int("enqueued", added), slog.Int("deduped", deduped))
+	for _, job := range jobs {
+		select {
+		case <-ctx.Done():
+			return added, deduped, ctx.Err()
+		case <-d.queue.DoneCh(job.Key()):
+		}
+	}
+	return added, deduped, nil
+}
+
+// fillRow completes a sweep row from its key's outcome: the fleet's
+// error for a failed job, else the stored result's summary fields.
+func (d *Dispatcher) fillRow(row *wire.SweepRunRow, key Key) error {
+	if _, errMsg := d.queue.Status(key); errMsg != "" && !row.CacheHit {
+		return errors.New(errMsg)
+	}
+	raw, ok := d.store.Get(key)
+	if !ok {
+		return errNoResult
+	}
+	var res wire.SimResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		return fmt.Errorf("dist: stored result undecodable: %v", err)
+	}
+	row.MakespanNS, row.Events, row.GridSHA256 = res.MakespanNS, res.Events, res.GridSHA256
+	return nil
 }
 
 func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if !postOnly(w, r) {
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := DecodeRegister(raw)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+	req, ok := server.ReadBody(w, r, 1<<20, DecodeRegister)
+	if !ok {
 		return
 	}
 	id := obs.NewRunID()
@@ -669,28 +556,19 @@ func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
 	d.workers[id] = &workerInfo{name: req.Name, slots: req.Slots, lastSeen: d.now()}
 	d.mu.Unlock()
 	d.log.Info("worker registered", slog.String("worker", req.Name), slog.String("id", id))
-	writeJSONValue(w, http.StatusOK, RegisterResponse{WorkerID: id})
+	server.WriteJSON(w, http.StatusOK, RegisterResponse{WorkerID: id})
 }
 
 func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
-	if !postOnly(w, r) {
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := DecodeLease(raw)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+	req, ok := server.ReadBody(w, r, 1<<20, DecodeLease)
+	if !ok {
 		return
 	}
 	workerName, ok := d.touchWorker(req.WorkerID, req.Stats)
 	if !ok {
 		// Unknown worker — typically a dispatcher restart wiped the
 		// volatile roster. 404 tells the worker to re-register.
-		writeJSONError(w, http.StatusNotFound, errors.New("dist: unknown worker, re-register"))
+		server.WriteError(w, http.StatusNotFound, errors.New("dist: unknown worker, re-register"))
 		return
 	}
 	ttl := d.clampTTL(req.TTLMS)
@@ -706,55 +584,37 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 		t.Worker = workerName
 		runID = t.RunID
 	})
-	writeJSONValue(w, http.StatusOK, LeaseResponse{
+	server.WriteJSON(w, http.StatusOK, LeaseResponse{
 		LeaseID: leaseID, Job: job, TTLMS: ttl.Milliseconds(), RunID: runID,
 	})
 }
 
 func (d *Dispatcher) handleRenew(w http.ResponseWriter, r *http.Request) {
-	if !postOnly(w, r) {
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := DecodeRenew(raw)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+	req, ok := server.ReadBody(w, r, 1<<20, DecodeRenew)
+	if !ok {
 		return
 	}
 	key, workerID, ok := d.queue.Renew(req.LeaseID, d.clampTTL(req.TTLMS))
 	if !ok {
-		writeJSONError(w, http.StatusGone, errors.New("dist: lease gone"))
+		server.WriteError(w, http.StatusGone, errors.New("dist: lease gone"))
 		return
 	}
 	d.touchWorker(workerID, req.Stats)
 	d.ring.Update(hex.EncodeToString(key[:]), func(t *obs.JobTimeline) { t.Renews++ })
-	writeJSONValue(w, http.StatusOK, map[string]string{"status": "renewed"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "renewed"})
 }
 
 func (d *Dispatcher) handleReport(w http.ResponseWriter, r *http.Request) {
-	if !postOnly(w, r) {
-		return
-	}
 	// 4 MiB rather than the 1 MiB of the other worker calls: a report may
 	// carry an attached engine span trace alongside the result bytes.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := DecodeReport(raw)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+	req, ok := server.ReadBody(w, r, 4<<20, DecodeReport)
+	if !ok {
 		return
 	}
 	d.touchWorker(req.WorkerID, nil)
 	key, _ := ParseKey(req.Key)
 	if !d.queue.Known(key) {
-		writeJSONError(w, http.StatusNotFound, errors.New("dist: report for unknown job"))
+		server.WriteError(w, http.StatusNotFound, errors.New("dist: report for unknown job"))
 		return
 	}
 	// Duplicate reports (a lease expired mid-flight and both the old and
@@ -766,7 +626,7 @@ func (d *Dispatcher) handleReport(w http.ResponseWriter, r *http.Request) {
 			t.Reported = d.now()
 			t.ElapsedNS = req.ElapsedNS
 			t.Err = req.Err
-			if t.RunID == "" && ValidRunID(req.RunID) {
+			if t.RunID == "" && obs.ValidRunID(req.RunID) {
 				t.RunID = req.RunID
 			}
 			if req.Trace != nil {
@@ -776,10 +636,10 @@ func (d *Dispatcher) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Err != "" {
 		if err := d.queue.Complete(req.LeaseID, key, false, req.Err); err != nil {
-			writeJSONError(w, http.StatusBadRequest, err)
+			server.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSONValue(w, http.StatusOK, map[string]string{"status": "recorded"})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "recorded"})
 		return
 	}
 	// Persist before journaling completion: a crash between the two is
@@ -794,19 +654,19 @@ func (d *Dispatcher) handleReport(w http.ResponseWriter, r *http.Request) {
 				slog.String("run_id", req.RunID),
 				slog.String("worker", req.WorkerID))
 		} else {
-			writeJSONError(w, http.StatusInternalServerError, err)
+			server.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
 	if err := d.queue.Complete(req.LeaseID, key, true, ""); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if !alreadyDone {
 		d.ring.Update(req.Key, func(t *obs.JobTimeline) { t.Stored = d.now() })
 		d.observePhases(req.Key)
 	}
-	writeJSONValue(w, http.StatusOK, map[string]string{"status": "recorded"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "recorded"})
 }
 
 // observePhases feeds a completed job's phase durations into the
@@ -873,49 +733,40 @@ func timelineView(t obs.JobTimeline) JobTimelineView {
 }
 
 func (d *Dispatcher) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if !getOnly(w, r) {
-		return
-	}
 	timelines := d.ring.List()
 	resp := JobsResponse{Count: len(timelines), Jobs: make([]JobTimelineView, 0, len(timelines))}
 	for _, t := range timelines {
 		resp.Jobs = append(resp.Jobs, timelineView(t))
 	}
-	writeJSONValue(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (d *Dispatcher) handleJob(w http.ResponseWriter, r *http.Request) {
-	if !getOnly(w, r) {
-		return
-	}
 	key := r.PathValue("key")
 	t, ok := d.ring.Get(key)
 	if !ok {
 		// Honest 404 even for keys the result tier can answer: timelines
 		// are volatile by design, and a warm-from-store job after a
 		// restart has no lifecycle on this process.
-		writeJSONError(w, http.StatusNotFound, fmt.Errorf(
+		server.WriteError(w, http.StatusNotFound, fmt.Errorf(
 			"dist: no timeline for job %q (timelines are volatile and ring-bounded to the last %d jobs)",
 			key, d.cfg.JobRingSize))
 		return
 	}
-	writeJSONValue(w, http.StatusOK, timelineView(t))
+	server.WriteJSON(w, http.StatusOK, timelineView(t))
 }
 
 func (d *Dispatcher) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if !getOnly(w, r) {
-		return
-	}
 	key := r.PathValue("key")
 	t, ok := d.ring.Get(key)
 	if !ok {
-		writeJSONError(w, http.StatusNotFound, fmt.Errorf(
+		server.WriteError(w, http.StatusNotFound, fmt.Errorf(
 			"dist: no timeline for job %q (timelines are volatile and ring-bounded to the last %d jobs)",
 			key, d.cfg.JobRingSize))
 		return
 	}
 	if t.Leased.IsZero() || t.Reported.IsZero() {
-		writeJSONError(w, http.StatusNotFound, fmt.Errorf(
+		server.WriteError(w, http.StatusNotFound, fmt.Errorf(
 			"dist: job %q has no completed lifecycle to trace yet", key))
 		return
 	}
@@ -964,74 +815,18 @@ func (d *Dispatcher) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dispatcher) handleQueue(w http.ResponseWriter, r *http.Request) {
-	writeJSONValue(w, http.StatusOK, QueueView{
+	server.WriteJSON(w, http.StatusOK, QueueView{
 		Queue: d.queue.Stats(), Store: d.store.Stats(), Workers: d.activeWorkers(),
 	})
 }
 
 func (d *Dispatcher) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	qs := d.queue.Stats()
-	writeJSONValue(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": d.now().Sub(d.start).Seconds(),
 		"queue_depth":    qs.Depth,
 		"leases_active":  qs.Leased,
 		"workers":        d.activeWorkers(),
 	})
-}
-
-func (d *Dispatcher) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", obs.ContentType)
-	d.reg.WriteText(w)
-}
-
-// postOnly enforces the method; false means the response is written.
-func postOnly(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSONError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return false
-	}
-	return true
-}
-
-// getOnly enforces the method; false means the response is written.
-func getOnly(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSONError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return false
-	}
-	return true
-}
-
-// readBody strictly decodes a bounded request body into v.
-func readBody(r *http.Request, v any) error {
-	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	return strictUnmarshal(raw, v)
-}
-
-func statusForCtx(ctx context.Context) int {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return http.StatusGatewayTimeout
-	}
-	return 499 // client closed request
-}
-
-func writeJSONValue(w http.ResponseWriter, status int, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(raw, '\n'))
-}
-
-func writeJSONError(w http.ResponseWriter, status int, err error) {
-	writeJSONValue(w, status, map[string]string{"error": err.Error()})
 }

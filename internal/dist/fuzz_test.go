@@ -38,6 +38,14 @@ func FuzzDistWireDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
+	// A valid payload followed by more bytes is rejected as a whole.
+	for _, tail := range []string{`{"seed":1}`, ` x`, `}`, `]`} {
+		raw := []byte(`{"name":"w1","slots":4}` + tail)
+		f.Add(raw)
+		if _, err := DecodeRegister(raw); !errors.Is(err, ErrWire) {
+			f.Errorf("register payload with trailing %q: err = %v, want ErrWire", tail, err)
+		}
+	}
 
 	check := func(t *testing.T, name string, err error) {
 		if err != nil && !errors.Is(err, ErrWire) {

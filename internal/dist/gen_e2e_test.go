@@ -88,9 +88,9 @@ func TestFleetGeneratedFlagSweep(t *testing.T) {
 
 // TestFleetRejectsMalformedGenRef pins the wire contract at the
 // dispatcher's front door: malformed generated-flag refs are rejected
-// with the dispatcher's spec-validation status (422, the same class as
-// an unknown builtin name) — never accepted into the journal, never a
-// 500.
+// as client errors (400, the same class as an unknown builtin name and
+// the same status flagsimd gives) — never accepted into the journal,
+// never a 500.
 func TestFleetRejectsMalformedGenRef(t *testing.T) {
 	f := startFleet(t, t.TempDir())
 	defer f.stop(t)
@@ -102,8 +102,8 @@ func TestFleetRejectsMalformedGenRef(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Errorf("flag %q: status %d, want 422", flag, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("flag %q: status %d, want 400", flag, resp.StatusCode)
 		}
 	}
 }

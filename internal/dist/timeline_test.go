@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"flagsim/internal/obs"
 	"flagsim/internal/wire"
 )
 
@@ -252,7 +253,7 @@ func TestFleetRunIDPropagation(t *testing.T) {
 	// Garbage header: minted replacement, never propagated.
 	resp, out = post(22, "not a run id; drop'); --")
 	minted := resp.Header.Get("X-Run-ID")
-	if !ValidRunID(minted) {
+	if !obs.ValidRunID(minted) {
 		t.Fatalf("minted run id %q is malformed", minted)
 	}
 	if out.RunID != minted {
@@ -265,7 +266,7 @@ func TestFleetRunIDPropagation(t *testing.T) {
 		t.Fatal("re-run of seed 21 not warm")
 	}
 	warmID := resp2.Header.Get("X-Run-ID")
-	if !ValidRunID(warmID) || warmID == supplied {
+	if !obs.ValidRunID(warmID) || warmID == supplied {
 		t.Fatalf("warm run id %q, want a fresh mint", warmID)
 	}
 }
@@ -349,7 +350,7 @@ func TestDispatcherRestartSeedsPendingTimelines(t *testing.T) {
 	for {
 		var tl JobTimelineView
 		if code := getJSON(t, f.srv.URL+"/v1/jobs/"+job.KeyHex, &tl); code == http.StatusOK && tl.Done {
-			if !ValidRunID(tl.RunID) {
+			if !obs.ValidRunID(tl.RunID) {
 				t.Fatalf("recovered timeline run_id %q not minted", tl.RunID)
 			}
 			break

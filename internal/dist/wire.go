@@ -21,7 +21,6 @@
 package dist
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -270,24 +269,6 @@ func DecodeReport(raw []byte) (ReportRequest, error) {
 	return v, nil
 }
 
-// ValidRunID reports whether s is a well-formed run identifier as minted
-// by obs.NewRunID: exactly 16 lower-case hex digits. The dispatcher
-// accepts client-supplied X-Run-ID headers only in this shape; anything
-// else gets a freshly minted ID rather than an error, so garbage headers
-// cannot pollute logs or timelines.
-func ValidRunID(s string) bool {
-	if len(s) != 16 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // ParseKey decodes a 64-hex-digit content address.
 func ParseKey(s string) (Key, error) {
 	var k Key
@@ -302,17 +283,10 @@ func ParseKey(s string) (Key, error) {
 	return k, nil
 }
 
-// strictUnmarshal decodes JSON rejecting unknown fields and trailing
-// data, wrapping every failure in ErrWire.
+// strictUnmarshal is wire.Decode with every failure wrapped in ErrWire.
 func strictUnmarshal(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := wire.Decode(raw, v); err != nil {
 		return fmt.Errorf("%w: %v", ErrWire, err)
-	}
-	// A second Decode must see EOF: trailing garbage is not canonical.
-	if dec.More() {
-		return fmt.Errorf("%w: trailing data after JSON value", ErrWire)
 	}
 	return nil
 }

@@ -166,7 +166,7 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 	// the client's X-Run-ID), so engine-side logging and probes see the
 	// same identifier every other process logs for this job. Attached
 	// before the heartbeat goroutine captures the context.
-	if ValidRunID(lease.RunID) {
+	if obs.ValidRunID(lease.RunID) {
 		ctx = obs.WithRunID(ctx, lease.RunID)
 	}
 

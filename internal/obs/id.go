@@ -39,3 +39,21 @@ func RunID(ctx context.Context) string {
 	id, _ := ctx.Value(runIDKey).(string)
 	return id
 }
+
+// ValidRunID reports whether s is a well-formed run identifier as minted
+// by NewRunID: exactly 16 lower-case hex digits. Both daemons adopt a
+// client-supplied X-Run-ID only in this shape; anything else gets a
+// freshly minted ID rather than an error, so garbage headers cannot
+// pollute logs, rings or timelines.
+func ValidRunID(s string) bool {
+	if len(s) != 16 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}

@@ -2,14 +2,13 @@ package obs
 
 // Job lifecycle timelines for the distributed sweep fabric. The
 // dispatcher stamps each phase transition it witnesses — enqueued,
-// leased (per attempt), reported, stored — into a bounded ring keyed by
-// the job's content address, the fabric analogue of RunRing: volatile by
-// design (a restart forgets timelines along with leases), bounded in
-// memory (a slot's worker trace is dropped when the slot is reused), and
-// queryable after the fact without having asked for tracing up front.
+// leased (per attempt), reported, stored — into a bounded Ring keyed by
+// the job's content address: volatile by design (a restart forgets
+// timelines along with leases), bounded in memory (a slot's worker trace
+// is dropped when the slot is reused), and queryable after the fact
+// without having asked for tracing up front.
 
 import (
-	"sync"
 	"time"
 
 	"flagsim/internal/wire"
@@ -88,88 +87,8 @@ func (t JobTimeline) EndToEnd() (time.Duration, bool) {
 // not-done; their Err says why).
 func (t JobTimeline) Done() bool { return !t.Stored.IsZero() }
 
+// RingKey keys a timeline by its job's content address.
+func (t JobTimeline) RingKey() string { return t.Key }
+
 // HasTrace reports whether the timeline can serve a stitched trace.
 func (t JobTimeline) HasTrace() bool { return t.Trace != nil && len(t.Trace.Spans) > 0 }
-
-// JobRing is a bounded ring of job timelines keyed by content address,
-// newest insert evicting the oldest. Safe for concurrent use; updates
-// mutate in place under the ring lock.
-type JobRing struct {
-	mu    sync.Mutex
-	buf   []JobTimeline
-	next  int
-	size  int
-	byKey map[string]int // job key -> slot
-}
-
-// NewJobRing returns a ring holding the last n timelines; n < 1 is
-// treated as 1.
-func NewJobRing(n int) *JobRing {
-	if n < 1 {
-		n = 1
-	}
-	return &JobRing{buf: make([]JobTimeline, n), byKey: make(map[string]int, n)}
-}
-
-// Begin inserts a fresh timeline for t.Key, evicting the oldest slot
-// when full. A key already resident no-ops: the first enqueue wins, so
-// dedup'd resubmissions cannot reset a live timeline.
-func (r *JobRing) Begin(t JobTimeline) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.byKey[t.Key]; ok {
-		return
-	}
-	slot := r.next
-	if old := r.buf[slot]; old.Key != "" {
-		delete(r.byKey, old.Key)
-	}
-	r.buf[slot] = t
-	r.byKey[t.Key] = slot
-	r.next = (r.next + 1) % len(r.buf)
-	if r.size < len(r.buf) {
-		r.size++
-	}
-}
-
-// Update mutates the resident timeline for key under the ring lock;
-// false means the key is not resident (never begun, or evicted).
-func (r *JobRing) Update(key string, fn func(*JobTimeline)) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	slot, ok := r.byKey[key]
-	if !ok {
-		return false
-	}
-	fn(&r.buf[slot])
-	return true
-}
-
-// Get returns a copy of the timeline for key.
-func (r *JobRing) Get(key string) (JobTimeline, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	slot, ok := r.byKey[key]
-	if !ok {
-		return JobTimeline{}, false
-	}
-	return r.buf[slot], true
-}
-
-// List returns the resident timelines, newest insert first.
-func (r *JobRing) List() []JobTimeline {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]JobTimeline, 0, r.size)
-	for i := 1; i <= r.size; i++ {
-		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
-	}
-	return out
-}
-
-// Len returns the number of resident timelines.
-func (r *JobRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.size
-}

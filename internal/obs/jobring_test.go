@@ -10,10 +10,10 @@ import (
 func tlKey(i int) string { return fmt.Sprintf("%064d", i) }
 
 func TestJobRingEvictionOrder(t *testing.T) {
-	r := NewJobRing(3)
+	r := NewRing[JobTimeline](3)
 	base := time.Unix(1000, 0)
 	for i := 0; i < 5; i++ {
-		r.Begin(JobTimeline{Key: tlKey(i), Enqueued: base.Add(time.Duration(i) * time.Second)})
+		r.Insert(JobTimeline{Key: tlKey(i), Enqueued: base.Add(time.Duration(i) * time.Second)})
 	}
 	if r.Len() != 3 {
 		t.Fatalf("ring holds %d, want capacity 3", r.Len())
@@ -36,11 +36,11 @@ func TestJobRingEvictionOrder(t *testing.T) {
 }
 
 func TestJobRingFirstBeginWins(t *testing.T) {
-	r := NewJobRing(4)
+	r := NewRing[JobTimeline](4)
 	first := time.Unix(500, 0)
-	r.Begin(JobTimeline{Key: tlKey(7), RunID: "aaaaaaaaaaaaaaaa", Enqueued: first})
+	r.Insert(JobTimeline{Key: tlKey(7), RunID: "aaaaaaaaaaaaaaaa", Enqueued: first})
 	// A dedup'd resubmission must not reset the live timeline.
-	r.Begin(JobTimeline{Key: tlKey(7), RunID: "bbbbbbbbbbbbbbbb", Enqueued: first.Add(time.Hour)})
+	r.Insert(JobTimeline{Key: tlKey(7), RunID: "bbbbbbbbbbbbbbbb", Enqueued: first.Add(time.Hour)})
 	got, ok := r.Get(tlKey(7))
 	if !ok || got.RunID != "aaaaaaaaaaaaaaaa" || !got.Enqueued.Equal(first) {
 		t.Fatalf("resubmission reset the timeline: %+v", got)
@@ -89,7 +89,7 @@ func TestJobRingPhaseMonotonicity(t *testing.T) {
 // goroutines; run under -race this pins the locking discipline the
 // dispatcher's report path relies on.
 func TestJobRingConcurrent(t *testing.T) {
-	r := NewJobRing(64)
+	r := NewRing[JobTimeline](64)
 	base := time.Unix(3000, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -98,7 +98,7 @@ func TestJobRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := tlKey(w*200 + i)
-				r.Begin(JobTimeline{Key: key, Enqueued: base})
+				r.Insert(JobTimeline{Key: key, Enqueued: base})
 				r.Update(key, func(t *JobTimeline) {
 					t.Leased = base.Add(time.Millisecond)
 					t.Leases++

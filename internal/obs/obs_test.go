@@ -101,9 +101,9 @@ func TestNopLoggerDiscards(t *testing.T) {
 }
 
 func TestRunRingEvictsOldest(t *testing.T) {
-	r := NewRunRing(3)
+	r := NewRing[RunSummary](3)
 	for i := 1; i <= 5; i++ {
-		r.Add(RunSummary{ID: fmt.Sprintf("run-%d", i), Status: 200})
+		r.Insert(RunSummary{ID: fmt.Sprintf("run-%d", i), Status: 200})
 	}
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", r.Len())
@@ -125,9 +125,9 @@ func TestRunRingEvictsOldest(t *testing.T) {
 }
 
 func TestRunRingMinimumSize(t *testing.T) {
-	r := NewRunRing(0)
-	r.Add(RunSummary{ID: "a"})
-	r.Add(RunSummary{ID: "b"})
+	r := NewRing[RunSummary](0)
+	r.Insert(RunSummary{ID: "a"})
+	r.Insert(RunSummary{ID: "b"})
 	if r.Len() != 1 {
 		t.Errorf("ring of clamped size 1 holds %d", r.Len())
 	}
@@ -136,15 +136,38 @@ func TestRunRingMinimumSize(t *testing.T) {
 	}
 }
 
+// TestRunRingRepeatedKey: a key inserted twice (a client reusing its
+// X-Run-ID) keeps its first entry, and evicting another slot never drops
+// the index of a key that is still resident.
+func TestRunRingRepeatedKey(t *testing.T) {
+	r := NewRing[RunSummary](2)
+	r.Insert(RunSummary{ID: "x", Status: 200})
+	r.Insert(RunSummary{ID: "x", Status: 500})
+	r.Insert(RunSummary{ID: "y", Status: 200})
+	if got, ok := r.Get("x"); !ok || got.Status != 200 {
+		t.Fatalf("Get(x) = %+v, %v; want the first insert, still resident", got, ok)
+	}
+	if r.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", r.Len())
+	}
+	r.Insert(RunSummary{ID: "z"})
+	if _, ok := r.Get("x"); ok {
+		t.Error("evicted x still resolvable")
+	}
+	if _, ok := r.Get("y"); !ok {
+		t.Error("resident y not resolvable")
+	}
+}
+
 func TestRunRingConcurrent(t *testing.T) {
-	r := NewRunRing(8)
+	r := NewRing[RunSummary](8)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Add(RunSummary{ID: fmt.Sprintf("w%d-%d", w, i)})
+				r.Insert(RunSummary{ID: fmt.Sprintf("w%d-%d", w, i)})
 				r.List()
 				r.Get(fmt.Sprintf("w%d-%d", w, i))
 			}

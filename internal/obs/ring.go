@@ -27,75 +27,107 @@ type RunSummary struct {
 	Runs     int           `json:"runs,omitempty"`
 
 	// Procs and Trace back the Chrome-trace export; both are nil when no
-	// spans were captured (cache hits, sweeps, errors). They are shared,
-	// not copied — treat them as read-only.
+	// spans were captured (cache hits, sweeps, errors, fleet runs). They
+	// are shared, not copied — treat them as read-only.
 	Procs []string   `json:"-"`
 	Trace []sim.Span `json:"-"`
 }
 
+// RingKey keys a summary by its run ID.
+func (s RunSummary) RingKey() string { return s.ID }
+
 // HasTrace reports whether the summary can serve a Chrome trace.
 func (s RunSummary) HasTrace() bool { return len(s.Trace) > 0 }
 
-// RunRing is a bounded ring of recent run summaries, newest overwriting
-// oldest. It is safe for concurrent use. The bound also bounds trace
-// memory: a summary's spans are dropped with it when the slot is reused.
-type RunRing struct {
-	mu   sync.Mutex
-	buf  []RunSummary
-	next int
-	size int
-	byID map[string]int // run ID -> slot
+// Keyed is an entry of a Ring; RingKey names it for Get and Update.
+type Keyed interface{ RingKey() string }
+
+// Ring is a bounded ring of recent entries keyed by string, the newest
+// insert evicting the oldest. The first insert of a key wins: inserting
+// a key that is still resident is a no-op, so a repeated run ID or a
+// dedup'd job resubmission cannot reset a live entry. It is safe for
+// concurrent use; Update mutates in place under the ring lock. The bound
+// also bounds any memory an entry holds (spans, worker traces): it is
+// dropped with the entry when the slot is reused.
+type Ring[V Keyed] struct {
+	mu    sync.Mutex
+	buf   []V
+	next  int
+	size  int
+	index map[string]int // key -> slot
 }
 
-// NewRunRing returns a ring holding the last n summaries; n < 1 is
-// treated as 1.
-func NewRunRing(n int) *RunRing {
+// NewRing returns a ring holding the last n entries; n < 1 is treated
+// as 1.
+func NewRing[V Keyed](n int) *Ring[V] {
 	if n < 1 {
 		n = 1
 	}
-	return &RunRing{buf: make([]RunSummary, n), byID: make(map[string]int, n)}
+	return &Ring[V]{buf: make([]V, n), index: make(map[string]int, n)}
 }
 
-// Add records a summary, evicting the oldest when full.
-func (r *RunRing) Add(s RunSummary) {
+// Insert records v unless its key is resident, evicting the oldest
+// entry when full.
+func (r *Ring[V]) Insert(v V) {
+	key := v.RingKey()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	slot := r.next
-	if old := r.buf[slot]; old.ID != "" {
-		delete(r.byID, old.ID)
+	if _, ok := r.index[key]; ok {
+		return
 	}
-	r.buf[slot] = s
-	r.byID[s.ID] = slot
-	r.next = (r.next + 1) % len(r.buf)
-	if r.size < len(r.buf) {
+	slot := r.next
+	if r.size == len(r.buf) {
+		// Only drop the index entry if it still names this slot: a key
+		// must never lose its index while its entry is resident.
+		if old := r.buf[slot].RingKey(); r.index[old] == slot {
+			delete(r.index, old)
+		}
+	} else {
 		r.size++
 	}
+	r.buf[slot] = v
+	r.index[key] = slot
+	r.next = (slot + 1) % len(r.buf)
 }
 
-// Get returns the summary for a run ID.
-func (r *RunRing) Get(id string) (RunSummary, bool) {
+// Update mutates the resident entry for key under the ring lock; false
+// means the key is not resident (never inserted, or evicted).
+func (r *Ring[V]) Update(key string, fn func(*V)) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	slot, ok := r.byID[id]
+	slot, ok := r.index[key]
 	if !ok {
-		return RunSummary{}, false
+		return false
+	}
+	fn(&r.buf[slot])
+	return true
+}
+
+// Get returns a copy of the entry for key.
+func (r *Ring[V]) Get(key string) (V, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	slot, ok := r.index[key]
+	if !ok {
+		var zero V
+		return zero, false
 	}
 	return r.buf[slot], true
 }
 
-// List returns the resident summaries, newest first.
-func (r *RunRing) List() []RunSummary {
+// List returns the resident entries, newest insert first.
+func (r *Ring[V]) List() []V {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]RunSummary, 0, r.size)
+	out := make([]V, 0, r.size)
 	for i := 1; i <= r.size; i++ {
 		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
 	}
 	return out
 }
 
-// Len returns the number of resident summaries.
-func (r *RunRing) Len() int {
+// Len returns the number of resident entries.
+func (r *Ring[V]) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.size

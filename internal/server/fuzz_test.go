@@ -54,6 +54,12 @@ var fuzzSeedBodies = []string{
 	"{\"flag\":\"\x00\"}",
 	`{"faults":null}`,
 	`{"faults":{}}`,
+	// A valid request followed by more bytes is rejected as a whole,
+	// never run as its first document.
+	`{"flag":"mauritius"}{"seed":1}`,
+	`{"flag":"mauritius"} x`,
+	`{"flag":"mauritius"}}`,
+	`{"flag":"mauritius"}]`,
 }
 
 // FuzzRunRequest drives raw bodies through the exact decode+resolve

@@ -1,56 +1,32 @@
 package server
 
-// The endpoint handlers. The request/response DTOs live in
-// internal/wire (shared with the dispatcher fabric); the aliases below
-// keep them addressable as server.RunRequest etc. for existing callers.
+// flagsimd's response bodies and its own endpoints. The wire DTOs live
+// in internal/wire (shared with the dispatcher fabric); the aliases below
+// name the ones flagsimd's bodies and callers use.
 // Requests map onto sweep.Spec — the same declarative, content-addressed
 // unit of work the library batches, so the service inherits the
 // determinism contract for free: a response's result section is a pure
 // function of the spec, byte-identical to what a library call computes.
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
 
 	"flagsim/internal/flaggen"
 	"flagsim/internal/flagspec"
-	"flagsim/internal/obs"
 	"flagsim/internal/sim"
-	"flagsim/internal/sweep"
 	"flagsim/internal/wire"
 )
-
-// statusClientClosedRequest is nginx's conventional status for "client
-// went away before the response"; net/http has no constant for it.
-const statusClientClosedRequest = 499
 
 // Wire DTO aliases: the canonical definitions are in internal/wire, so
 // the HTTP service and the dispatcher fabric speak the same language.
 type (
 	// RunRequest describes one simulation run over the wire.
 	RunRequest = wire.RunRequest
-	// FaultRequest describes a fault plan over the wire.
-	FaultRequest = wire.FaultRequest
-	// FaultStallRequest is one stall window over the wire.
-	FaultStallRequest = wire.FaultStallRequest
 	// SimResult is the deterministic section of a run response.
 	SimResult = wire.SimResult
-	// ProcResult is one processor's statistics in a response.
-	ProcResult = wire.ProcResult
-	// ImplementResult is one implement's statistics in a response.
-	ImplementResult = wire.ImplementResult
-	// FaultResult tallies what an injected fault plan actually did.
-	FaultResult = wire.FaultResult
-	// SweepRequest is a cartesian grid over a base run request.
-	SweepRequest = wire.SweepRequest
 	// SweepRunRow is one run's compact row in a sweep response.
 	SweepRunRow = wire.SweepRunRow
 )
@@ -99,241 +75,7 @@ type Health struct {
 	CacheEntries  int     `json:"cache_entries"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(raw, '\n'))
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// decodeJSON strictly decodes the request body into v.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// requestCtx derives the execution context: the client's own (canceled
-// on disconnect) bounded by the configured per-request deadline.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.cfg.RequestTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	}
-	return context.WithCancel(r.Context())
-}
-
-// admit runs the gate and writes the backpressure responses on refusal.
-// It reports whether the request may proceed; the caller must release
-// on true.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter) bool {
-	err := s.gate.acquire(ctx)
-	switch {
-	case err == nil:
-		return true
-	case errors.Is(err, errSaturated):
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Seconds()+0.5)))
-		writeError(w, http.StatusTooManyRequests, err)
-	default:
-		// The client gave up (or timed out) while queued.
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("server: abandoned while queued: %w", err))
-	}
-	return false
-}
-
-// writeRunError maps a failed run onto a status code: canceled runs are
-// the client's doing (499) or the deadline's (504); anything else is a
-// spec the engine rejected (422). ctx carries the request's reqInfo, so
-// the outcome label lands in the log line and the run ring.
-func (s *Server) writeRunError(w http.ResponseWriter, ctx context.Context, err error) {
-	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
-	if ri == nil {
-		ri = &reqInfo{}
-	}
-	if errors.Is(err, sim.ErrCanceled) {
-		s.metrics.canceled.Inc()
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			ri.outcome = "deadline"
-			writeError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("server: run exceeded the request deadline: %w", err))
-			return
-		}
-		ri.outcome = "canceled"
-		writeError(w, statusClientClosedRequest, err)
-		return
-	}
-	ri.outcome = "unprocessable"
-	writeError(w, http.StatusUnprocessableEntity, err)
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	var req RunRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, err := req.Spec()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ri := info(r)
-	ri.spec = spec.Label()
-	key := spec.Key()
-	ri.specHash = hex.EncodeToString(key[:8])
-	traceMode := r.URL.Query().Get("trace")
-	if traceMode != "" && traceMode != "chrome" {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown trace format %q (chrome)", traceMode))
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.gate.release()
-	if s.testHookAdmitted != nil {
-		s.testHookAdmitted()
-	}
-	if traceMode == "chrome" {
-		// Traced runs bypass the memo cache: a cache hit has no engine
-		// run to observe, and the whole point here is a fresh timeline.
-		// The engine metrics probe still observes the run.
-		var collector sim.SpanCollector
-		res, err := spec.RunOnce(ctx, s.metrics.engine, &collector)
-		if err != nil {
-			s.writeRunError(w, ctx, err)
-			return
-		}
-		ri.runs = 1
-		ri.makespan, ri.events = res.Makespan, res.Events
-		ri.procs, ri.trace = procNames(res), collector.Spans
-		w.Header().Set("Content-Type", "application/json")
-		if err := writeEngineTrace(w, ri.procs, ri.trace); err != nil {
-			s.logger.LogAttrs(ctx, slog.LevelError, "trace stream failed",
-				slog.String("run_id", obs.RunID(ctx)), slog.String("error", err.Error()))
-		}
-		return
-	}
-	// A per-request span collector rides along with the pool's probes:
-	// if this request is the one that computes (cache miss), its spans
-	// land in the run ring for /v1/runs/{id}/trace; on a cache hit the
-	// engine never runs and the collector stays empty.
-	var collector sim.SpanCollector
-	batch := s.sweeper.RunProbed(ctx, []sweep.Spec{spec}, &collector)
-	run := batch.Runs[0]
-	if run.Err != nil {
-		s.writeRunError(w, ctx, run.Err)
-		return
-	}
-	ri.cacheHit = run.CacheHit
-	ri.runs = 1
-	ri.makespan, ri.events = run.Result.Makespan, run.Result.Events
-	if len(collector.Spans) > 0 {
-		ri.procs, ri.trace = procNames(run.Result), collector.Spans
-	}
-	writeJSON(w, http.StatusOK, RunResponse{
-		RunID:     obs.RunID(r.Context()),
-		Spec:      spec.Label(),
-		CacheHit:  run.CacheHit,
-		ElapsedNS: int64(run.Elapsed),
-		Result:    NewSimResult(run.Result),
-	})
-}
-
-// procNames flattens the result's processor names for trace export.
-func procNames(res *sim.Result) []string {
-	out := make([]string, len(res.Procs))
-	for i, p := range res.Procs {
-		out[i] = p.Name
-	}
-	return out
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	specs, err := req.Specs()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(specs) > s.cfg.MaxSweepSpecs {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("grid expands to %d specs, limit %d", len(specs), s.cfg.MaxSweepSpecs))
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.gate.release()
-	if s.testHookAdmitted != nil {
-		s.testHookAdmitted()
-	}
-	batch := s.sweeper.Run(ctx, specs)
-	ri := info(r)
-	ri.runs = len(batch.Runs)
-	ri.cacheHit = batch.Cache.Misses == 0 && batch.Cache.Hits > 0
-	resp := SweepResponse{
-		Count:   len(batch.Runs),
-		Workers: batch.Workers,
-		WallNS:  int64(batch.Wall),
-		Hits:    batch.Cache.Hits,
-		Misses:  batch.Cache.Misses,
-	}
-	canceled := false
-	for _, run := range batch.Runs {
-		row := SweepRunRow{Spec: run.Spec.Label(), CacheHit: run.CacheHit}
-		if run.Err != nil {
-			resp.Failed++
-			row.Err = run.Err.Error()
-			canceled = canceled || errors.Is(run.Err, sim.ErrCanceled)
-		} else {
-			sum := sha256.Sum256([]byte(run.Result.Grid.String()))
-			row.MakespanNS = int64(run.Result.Makespan)
-			row.Events = run.Result.Events
-			row.GridSHA256 = hex.EncodeToString(sum[:])
-		}
-		resp.Runs = append(resp.Runs, row)
-	}
-	if canceled {
-		s.writeRunError(w, ctx, fmt.Errorf("sweep: %d of %d runs: %w",
-			resp.Failed, resp.Count, sim.ErrCanceled))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleFlags(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	if q := r.URL.Query().Get("gen"); q != "" {
 		s.handleFlagsGen(w, q, r.URL.Query().Get("count"))
 		return
@@ -342,7 +84,7 @@ func (s *Server) handleFlags(w http.ResponseWriter, r *http.Request) {
 	for _, f := range flagspec.All() {
 		out = append(out, newFlagInfo(f))
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleFlagsGen previews procedurally generated flags. ?gen= accepts
@@ -355,14 +97,14 @@ func (s *Server) handleFlagsGen(w http.ResponseWriter, q, countStr string) {
 	if flaggen.IsName(q) {
 		ref, err := flaggen.ParseName(q)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		refs = []flaggen.Ref{ref}
 	} else {
 		seed, err := strconv.ParseUint(q, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("gen: want a canonical name (gen:v1:<seed>:<variant>) or a decimal seed: %q", q))
 			return
 		}
@@ -370,7 +112,7 @@ func (s *Server) handleFlagsGen(w http.ResponseWriter, q, countStr string) {
 		if countStr != "" {
 			count, err = strconv.Atoi(countStr)
 			if err != nil || count < 1 || count > 64 {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("gen: count must be 1..64, got %q", countStr))
+				WriteError(w, http.StatusBadRequest, fmt.Errorf("gen: count must be 1..64, got %q", countStr))
 				return
 			}
 		}
@@ -382,12 +124,12 @@ func (s *Server) handleFlagsGen(w http.ResponseWriter, q, countStr string) {
 	for _, ref := range refs {
 		f, err := flaggen.Resolve(ref.Name())
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		out = append(out, newFlagInfo(f))
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func newFlagInfo(f *flagspec.Flag) FlagInfo {
@@ -404,7 +146,7 @@ func newFlagInfo(f *flagspec.Flag) FlagInfo {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	inFlight, queued := s.gate.depth()
 	stats := s.sweeper.Stats()
-	writeJSON(w, http.StatusOK, Health{
+	WriteJSON(w, http.StatusOK, Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
 		InFlight:      inFlight,
@@ -413,9 +155,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		CacheMisses:   stats.Misses,
 		CacheEntries:  stats.Entries,
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", obs.ContentType)
-	s.metrics.reg.WriteText(w)
 }

@@ -1,12 +1,14 @@
 package server
 
-// The service's metric registry, assembled on the shared observability
-// core (internal/obs). One obs.Registry carries three layers of families
-// so a single /metrics scrape reflects the whole stack:
+// The metric registries, assembled on the shared observability core
+// (internal/obs). The front end registers the request-path families
+// under the daemon's prefix, so flagsimd and flagdispd export the same
+// shapes; flagsimd's registry adds three more layers so a single
+// /metrics scrape reflects its whole stack:
 //
 //   - serving state (flagsimd_*): request counts by endpoint/status,
-//     admission gate occupancy, latency histograms, sweep-cache and
-//     worker-pool health — registered here;
+//     latency histograms (front end); admission gate occupancy,
+//     sweep-cache and worker-pool health (local backend);
 //   - engine state (flagsim_engine_*): cells painted, implement traffic,
 //     blocks by kind/color, steals — fed by the obs.MetricsProbe the
 //     Server installs on its sweep pool;
@@ -20,11 +22,10 @@ import (
 	"time"
 
 	"flagsim/internal/obs"
-	"flagsim/internal/sweep"
 )
 
-// metrics bundles the registry and the serving-layer instruments the
-// request path updates directly.
+// metrics bundles the registry and the request-path instruments the
+// front end updates directly.
 type metrics struct {
 	start time.Time
 	reg   *obs.Registry
@@ -38,69 +39,57 @@ type metrics struct {
 	// latency histograms per simulation endpoint.
 	runLatency   *obs.Histogram
 	sweepLatency *obs.Histogram
-
-	// engine feeds the flagsim_engine_* families; the Server installs it
-	// on the sweep pool so every compute reports here.
-	engine *obs.MetricsProbe
 }
 
-// sweepReader is the slice of the Sweeper the scrape-time gauges read.
-// It is an interface so New can hand newMetrics a late-bound view: the
-// registry's engine probe must exist before the Sweeper it is installed
-// on.
-type sweepReader interface {
-	Stats() sweep.CacheStats
-	PoolDepth() (running, queued int)
-}
-
-// newMetrics builds the registry. gate and sweeper back the scrape-time
-// gauges; they must outlive the returned metrics.
-func newMetrics(gate *gate, sweeper sweepReader) *metrics {
-	reg := obs.NewRegistry()
+// newMetrics registers the request-path families on reg under name.
+func newMetrics(name string, reg *obs.Registry) *metrics {
 	m := &metrics{start: time.Now(), reg: reg}
-
-	m.requests = reg.CounterVec("flagsimd_requests_total",
+	m.requests = reg.CounterVec(name+"_requests_total",
 		"Completed HTTP requests by endpoint and status code.", "endpoint", "code")
-	m.rejected = reg.CounterVec("flagsimd_rejected_total",
+	m.rejected = reg.CounterVec(name+"_rejected_total",
 		"Requests fast-failed by admission control (HTTP 429).", "endpoint")
-	m.canceled = reg.Counter("flagsimd_runs_canceled_total",
+	m.canceled = reg.Counter(name+"_runs_canceled_total",
 		"Simulation runs aborted by client disconnect or deadline.")
+	m.runLatency = reg.Histogram(name+"_run_seconds",
+		"Wall time of /v1/run requests.", obs.DefaultLatencyBuckets)
+	m.sweepLatency = reg.Histogram(name+"_sweep_seconds",
+		"Wall time of /v1/sweep requests.", obs.DefaultLatencyBuckets)
+	return m
+}
 
+// registerLocal adds flagsimd's own families to reg and creates the
+// engine probe. The sweep gauges read s.sweeper at scrape time; New
+// assigns it before the mux can serve a scrape.
+func (s *Server) registerLocal(reg *obs.Registry) {
 	reg.GaugeFunc("flagsimd_in_flight",
 		"Requests currently executing on the worker pool.",
-		func() float64 { inFlight, _ := gate.depth(); return float64(inFlight) })
+		func() float64 { inFlight, _ := s.gate.depth(); return float64(inFlight) })
 	reg.GaugeFunc("flagsimd_queue_depth",
 		"Requests waiting for a worker slot.",
-		func() float64 { _, queued := gate.depth(); return float64(queued) })
+		func() float64 { _, queued := s.gate.depth(); return float64(queued) })
 
 	reg.CounterFunc("flagsimd_sweep_cache_hits_total",
 		"Sweep memo-cache hits since process start.",
-		func() float64 { return float64(sweeper.Stats().Hits) })
+		func() float64 { return float64(s.sweeper.Stats().Hits) })
 	reg.CounterFunc("flagsimd_sweep_cache_misses_total",
 		"Sweep memo-cache misses since process start.",
-		func() float64 { return float64(sweeper.Stats().Misses) })
+		func() float64 { return float64(s.sweeper.Stats().Misses) })
 	reg.GaugeFunc("flagsimd_sweep_cache_entries",
 		"Memoized results resident in the sweep cache.",
-		func() float64 { return float64(sweeper.Stats().Entries) })
+		func() float64 { return float64(s.sweeper.Stats().Entries) })
 	reg.CounterFunc("flagsimd_sweep_cache_evictions_total",
 		"Sweep cache entries evicted (canceled computes are never memoized).",
-		func() float64 { return float64(sweeper.Stats().Evictions) })
+		func() float64 { return float64(s.sweeper.Stats().Evictions) })
 	reg.GaugeFunc("flagsimd_sweep_pool_running",
 		"Sweep pool workers currently computing a spec.",
-		func() float64 { running, _ := sweeper.PoolDepth(); return float64(running) })
+		func() float64 { running, _ := s.sweeper.PoolDepth(); return float64(running) })
 	reg.GaugeFunc("flagsimd_sweep_pool_queued",
 		"Specs waiting for a sweep pool worker slot.",
-		func() float64 { _, queued := sweeper.PoolDepth(); return float64(queued) })
-
-	m.runLatency = reg.Histogram("flagsimd_run_seconds",
-		"Wall time of /v1/run requests.", obs.DefaultLatencyBuckets)
-	m.sweepLatency = reg.Histogram("flagsimd_sweep_seconds",
-		"Wall time of /v1/sweep requests.", obs.DefaultLatencyBuckets)
+		func() float64 { _, queued := s.sweeper.PoolDepth(); return float64(queued) })
 
 	reg.GaugeFunc("flagsimd_uptime_seconds", "Seconds since process start.",
-		func() float64 { return time.Since(m.start).Seconds() })
+		func() float64 { return time.Since(s.metrics.start).Seconds() })
 
-	m.engine = obs.NewMetricsProbe(reg)
+	s.engine = obs.NewMetricsProbe(reg)
 	obs.RegisterGoRuntime(reg)
-	return m
 }

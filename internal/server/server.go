@@ -1,10 +1,11 @@
 // Package server is flagsim's network surface: a production-shaped HTTP
 // JSON service that runs scenario simulations and parameter sweeps on
-// demand. The serving core is a bounded admission queue (MaxInFlight
-// executing, MaxQueue waiting, fast-fail 429 beyond that) in front of
-// the sweep subsystem's worker pool, whose content-addressed memo cache
-// lives for the process lifetime — identical requests are served warm
-// across clients.
+// demand. Its request path (Frontend) is shared with the flagdispd
+// dispatcher, which plugs a fleet Backend in where Server plugs the
+// local one: a bounded admission queue (MaxInFlight executing, MaxQueue
+// waiting, fast-fail 429 beyond that) in front of the sweep subsystem's
+// worker pool, whose content-addressed memo cache lives for the process
+// lifetime — identical requests are served warm across clients.
 //
 // Endpoints:
 //
@@ -17,8 +18,10 @@
 //	GET  /healthz    liveness + serving gauges
 //	GET  /metrics    Prometheus text exposition (serving + engine + runtime)
 //
-// Observability: every request gets a run ID (X-Run-ID header, pprof
-// labels, structured log line, run-ring key); the /metrics registry is
+// Observability: every request gets a run ID (a well-formed client
+// X-Run-ID is adopted, otherwise one is minted; echoed in the X-Run-ID
+// header, pprof labels, structured log line, run-ring key); the /metrics
+// registry is
 // the shared internal/obs one, with an engine MetricsProbe installed on
 // the sweep pool so a scrape reflects the simulator itself, not just the
 // HTTP layer.
@@ -31,17 +34,15 @@
 package server
 
 import (
-	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"time"
 
 	"flagsim/internal/obs"
@@ -144,16 +145,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP simulation service. Create one with New; it is
-// safe for concurrent use.
+// Server is the HTTP simulation service: the shared Frontend plus the
+// local Backend (admission gate, sweep pool, span capture). Create one
+// with New; it is safe for concurrent use.
 type Server struct {
-	cfg     Config
+	*Frontend
 	sweeper *sweep.Sweeper
 	gate    *gate
-	metrics *metrics
-	ring    *obs.RunRing
-	logger  *slog.Logger
-	mux     *http.ServeMux
+	// engine feeds the flagsim_engine_* families; installed on the sweep
+	// pool so every compute reports to the registry.
+	engine *obs.MetricsProbe
 
 	// testHookAdmitted, when set, runs after a simulation request clears
 	// admission and before it executes — the deterministic seam the
@@ -167,30 +168,18 @@ type Server struct {
 // the shared registry.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	g := newGate(cfg.MaxInFlight, cfg.MaxQueue)
-	s := &Server{cfg: cfg, gate: g, ring: obs.NewRunRing(cfg.RunRingSize), logger: cfg.Logger}
-	// The registry's sweep gauges read the Sweeper at scrape time, and
-	// the Sweeper's pool probes come from the registry — so the registry
-	// is built first against a late-bound view (sweepStats) and the
-	// Sweeper second, with the freshly registered engine probe installed.
-	s.metrics = newMetrics(g, sweepStats{s})
+	reg := obs.NewRegistry()
+	s := &Server{gate: newGate(cfg.MaxInFlight, cfg.MaxQueue)}
+	s.Frontend = NewFrontend("flagsimd", s, reg, cfg)
+	s.registerLocal(reg)
 	s.sweeper = sweep.New(sweep.Options{
 		Workers: cfg.SweepWorkers,
-		Probes:  []sim.Probe{s.metrics.engine},
+		Probes:  []sim.Probe{s.engine},
 	})
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/run", s.instrument("/v1/run", s.handleRun))
-	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	s.mux.HandleFunc("/v1/flags", s.instrument("/v1/flags", s.handleFlags))
-	s.mux.HandleFunc("/v1/runs", s.instrument("/v1/runs", s.handleRuns))
-	s.mux.HandleFunc("/v1/runs/{id}/trace", s.instrument("/v1/runs/trace", s.handleRunTrace))
-	s.mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.HandleFunc("/v1/flags", s.instrument("/v1/flags", Only(http.MethodGet, s.handleFlags)))
+	s.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	return s
 }
-
-// Handler returns the service's HTTP handler (for embedding or tests).
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // Sweeper exposes the process-lifetime sweep pool, e.g. for pre-warming
 // the cache before a benchmark.
@@ -199,177 +188,6 @@ func (s *Server) Sweeper() *sweep.Sweeper { return s.sweeper }
 // Metrics exposes the server's observability registry, e.g. for
 // embedding additional families before serving.
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
-
-// statusRecorder captures the status code a handler wrote and, when the
-// capture hook is armed, tees the response body.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	body   *bytes.Buffer
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	if r.body != nil {
-		r.body.Write(p)
-	}
-	return r.ResponseWriter.Write(p)
-}
-
-// reqInfo is the per-request scratchpad handlers fill so the instrument
-// wrapper can log and ring-record with handler-level detail (spec label,
-// spec hash, cache outcome) without re-parsing anything.
-type reqInfo struct {
-	spec     string
-	specHash string
-	cacheHit bool
-	outcome  string
-	runs     int
-	makespan time.Duration
-	events   uint64
-	procs    []string
-	trace    []sim.Span
-}
-
-type reqInfoKey struct{}
-
-// info returns the request's scratchpad, or a throwaway one when the
-// handler runs outside instrument (direct Handler() tests).
-func info(r *http.Request) *reqInfo {
-	if ri, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
-		return ri
-	}
-	return &reqInfo{}
-}
-
-// simEndpoint reports whether the endpoint executes simulations — these
-// get latency histograms, Info-level logs, and run-ring entries.
-func simEndpoint(endpoint string) bool {
-	return endpoint == "/v1/run" || endpoint == "/v1/sweep"
-}
-
-// instrument wraps a handler with the request-scoped observability
-// envelope: a fresh run ID (context value, X-Run-ID header, pprof
-// labels), request counting, latency observation, the structured log
-// line, and — for simulation endpoints — the run-ring entry.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := obs.NewRunID()
-		ri := &reqInfo{}
-		ctx := obs.WithRunID(r.Context(), id)
-		ctx = context.WithValue(ctx, reqInfoKey{}, ri)
-		w.Header().Set("X-Run-ID", id)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		// Capture tees the exchange: the request body is read up front
-		// (and handed back to the handler as a fresh reader), the
-		// response body through the recorder. The bound mirrors
-		// decodeJSON's MaxBytesReader, so the handler sees the same
-		// bytes it would have read itself.
-		capture := s.cfg.Capture != nil && simEndpoint(endpoint) && r.Method == http.MethodPost
-		var reqBody []byte
-		if capture {
-			reqBody, _ = io.ReadAll(io.LimitReader(r.Body, 1<<20))
-			r.Body = io.NopCloser(bytes.NewReader(reqBody))
-			rec.body = &bytes.Buffer{}
-		}
-		pprof.Do(ctx, pprof.Labels("run_id", id, "endpoint", endpoint), func(ctx context.Context) {
-			h(rec, r.WithContext(ctx))
-		})
-		elapsed := time.Since(start)
-		if capture {
-			s.cfg.Capture(CapturedExchange{
-				At:      start.Sub(s.metrics.start),
-				Method:  r.Method,
-				Path:    r.URL.RequestURI(),
-				Status:  rec.status,
-				ReqBody: reqBody, RespBody: rec.body.Bytes(),
-				Latency: elapsed,
-			})
-		}
-
-		s.metrics.requests.With(endpoint, strconv.Itoa(rec.status)).Inc()
-		switch endpoint {
-		case "/v1/run":
-			s.metrics.runLatency.ObserveDuration(elapsed)
-		case "/v1/sweep":
-			s.metrics.sweepLatency.ObserveDuration(elapsed)
-		}
-		if rec.status == http.StatusTooManyRequests {
-			s.metrics.rejected.With(endpoint).Inc()
-		}
-
-		if ri.outcome == "" {
-			if rec.status < 400 {
-				ri.outcome = "ok"
-			} else {
-				ri.outcome = "error"
-			}
-		}
-		if simEndpoint(endpoint) {
-			s.ring.Add(obs.RunSummary{
-				ID: id, Endpoint: endpoint,
-				Spec: ri.spec, SpecHash: ri.specHash,
-				Start: start, Latency: elapsed,
-				Status: rec.status, Outcome: ri.outcome,
-				CacheHit: ri.cacheHit, Makespan: ri.makespan,
-				Events: ri.events, Runs: ri.runs,
-				Procs: ri.procs, Trace: ri.trace,
-			})
-		}
-
-		level := slog.LevelDebug
-		if simEndpoint(endpoint) {
-			level = slog.LevelInfo
-		}
-		msg := "request"
-		if s.cfg.SlowRequest > 0 && simEndpoint(endpoint) && elapsed > s.cfg.SlowRequest {
-			level, msg = slog.LevelWarn, "slow request"
-		}
-		if s.logger.Enabled(r.Context(), level) {
-			attrs := []slog.Attr{
-				slog.String("run_id", id),
-				slog.String("endpoint", endpoint),
-				slog.Int("status", rec.status),
-				slog.Duration("latency", elapsed),
-				slog.String("outcome", ri.outcome),
-			}
-			if ri.spec != "" {
-				attrs = append(attrs,
-					slog.String("spec", ri.spec),
-					slog.String("spec_hash", ri.specHash),
-					slog.Bool("cache_hit", ri.cacheHit))
-			}
-			if ri.runs > 1 {
-				attrs = append(attrs, slog.Int("runs", ri.runs))
-			}
-			s.logger.LogAttrs(r.Context(), level, msg, attrs...)
-		}
-	}
-}
-
-// sweepStats adapts the Server to the two read methods newMetrics needs,
-// forwarding to s.sweeper once New has set it (scrapes cannot race the
-// constructor — the mux doesn't exist until after both are assembled).
-type sweepStats struct{ s *Server }
-
-func (v sweepStats) Stats() sweep.CacheStats {
-	if v.s.sweeper == nil {
-		return sweep.CacheStats{}
-	}
-	return v.s.sweeper.Stats()
-}
-
-func (v sweepStats) PoolDepth() (int, int) {
-	if v.s.sweeper == nil {
-		return 0, 0
-	}
-	return v.s.sweeper.PoolDepth()
-}
 
 // ListenAndServe binds cfg.Addr and serves until ctx is canceled, then
 // drains gracefully (see Serve).
@@ -381,26 +199,98 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	return s.Serve(ctx, ln)
 }
 
-// Serve serves on ln until ctx is canceled, then shuts down gracefully:
-// listeners close immediately, in-flight requests get DrainTimeout to
-// finish, and a clean drain returns nil. The listener is always closed
-// by the time Serve returns.
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: s.mux}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
+// admit claims an execution slot from the gate; on nil the caller must
+// release it.
+func (s *Server) admit(ctx context.Context) error {
+	err := s.gate.acquire(ctx)
+	switch {
+	case err == nil:
+		if s.testHookAdmitted != nil {
+			s.testHookAdmitted()
+		}
+		return nil
+	case errors.Is(err, errSaturated):
+		return &StatusError{Code: http.StatusTooManyRequests, Err: err}
+	default:
+		// The client gave up (or timed out) while queued.
+		return &StatusError{Code: http.StatusServiceUnavailable,
+			Err: fmt.Errorf("server: abandoned while queued: %w", err)}
 	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		return fmt.Errorf("server: drain incomplete: %w", err)
+}
+
+// Run is the local Backend's single run: behind the admission gate,
+// through the memo cache, or — for a traced call — straight to the
+// engine. A run error is a spec the engine rejected (422) unless the
+// run was canceled, which the front end maps (499/504).
+func (s *Server) Run(ctx context.Context, call RunCall) (Reply, error) {
+	if err := s.admit(ctx); err != nil {
+		return Reply{}, err
 	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
+	defer s.gate.release()
+	// A per-request span collector rides along with the pool's probes:
+	// if this request is the one that computes (cache miss), its spans
+	// land in the run ring for /v1/runs/{id}/trace; on a cache hit the
+	// engine never runs and the collector stays empty.
+	var collector sim.SpanCollector
+	var run sweep.RunResult
+	if call.Trace {
+		// Traced runs bypass the memo cache: a cache hit has no engine
+		// run to observe, and the whole point here is a fresh timeline.
+		// The engine metrics probe still observes the run.
+		run.Result, run.Err = call.Spec.RunOnce(ctx, s.engine, &collector)
+	} else {
+		run = s.sweeper.RunProbed(ctx, []sweep.Spec{call.Spec}, &collector).Runs[0]
 	}
-	return nil
+	switch {
+	case errors.Is(run.Err, sim.ErrCanceled):
+		return Reply{}, run.Err
+	case run.Err != nil:
+		return Reply{}, &StatusError{Code: http.StatusUnprocessableEntity, Err: run.Err}
+	}
+	return Reply{
+		Body: RunResponse{
+			RunID:     call.RunID,
+			Spec:      call.Spec.Label(),
+			CacheHit:  run.CacheHit,
+			ElapsedNS: int64(run.Elapsed),
+			Result:    NewSimResult(run.Result),
+		},
+		CacheHit: run.CacheHit, Result: run.Result, Spans: collector.Spans,
+	}, nil
+}
+
+// Sweep is the local Backend's grid: behind the admission gate, fanned
+// across the sweep pool.
+func (s *Server) Sweep(ctx context.Context, call SweepCall) (Reply, error) {
+	if err := s.admit(ctx); err != nil {
+		return Reply{}, err
+	}
+	defer s.gate.release()
+	batch := s.sweeper.Run(ctx, call.Specs)
+	resp := SweepResponse{
+		Count:   len(batch.Runs),
+		Workers: batch.Workers,
+		WallNS:  int64(batch.Wall),
+		Hits:    batch.Cache.Hits,
+		Misses:  batch.Cache.Misses,
+	}
+	canceled := false
+	for _, run := range batch.Runs {
+		row := SweepRunRow{Spec: run.Spec.Label(), CacheHit: run.CacheHit}
+		if run.Err != nil {
+			resp.Failed++
+			row.Err = run.Err.Error()
+			canceled = canceled || errors.Is(run.Err, sim.ErrCanceled)
+		} else {
+			sum := sha256.Sum256([]byte(run.Result.Grid.String()))
+			row.MakespanNS = int64(run.Result.Makespan)
+			row.Events = run.Result.Events
+			row.GridSHA256 = hex.EncodeToString(sum[:])
+		}
+		resp.Runs = append(resp.Runs, row)
+	}
+	if canceled {
+		return Reply{}, fmt.Errorf("sweep: %d of %d runs: %w", resp.Failed, resp.Count, sim.ErrCanceled)
+	}
+	return Reply{Body: resp, CacheHit: batch.Cache.Misses == 0 && batch.Cache.Hits > 0}, nil
 }

@@ -2,9 +2,9 @@ package server
 
 // After-the-fact run inspection: every simulation request leaves a
 // summary in the bounded run ring (keyed by the run ID the X-Run-ID
-// header returned), and computed single runs keep their span timeline,
-// so a p99 outlier spotted in the latency histogram can be pulled up as
-// a Chrome trace without having asked for tracing up front.
+// header returned), and runs computed in-process keep their span
+// timeline, so a p99 outlier spotted in the latency histogram can be
+// pulled up as a Chrome trace without having asked for tracing up front.
 
 import (
 	"fmt"
@@ -26,43 +26,42 @@ func writeEngineTrace(w io.Writer, procs []string, spans []sim.Span) error {
 	return b.Render(w)
 }
 
+// procNames flattens the result's processor names for trace export.
+func procNames(res *sim.Result) []string {
+	out := make([]string, len(res.Procs))
+	for i, p := range res.Procs {
+		out[i] = p.Name
+	}
+	return out
+}
+
 // RunsResponse is the /v1/runs reply: recent runs, newest first.
 type RunsResponse struct {
 	Count int              `json:"count"`
 	Runs  []obs.RunSummary `json:"runs"`
 }
 
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	runs := s.ring.List()
-	writeJSON(w, http.StatusOK, RunsResponse{Count: len(runs), Runs: runs})
+func (f *Frontend) handleRuns(w http.ResponseWriter, r *http.Request) {
+	runs := f.ring.List()
+	WriteJSON(w, http.StatusOK, RunsResponse{Count: len(runs), Runs: runs})
 }
 
-func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
+func (f *Frontend) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sum, ok := s.ring.Get(id)
+	sum, ok := f.ring.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("unknown run id %q (the ring keeps the last %d runs)", id, s.cfg.RunRingSize))
+		WriteError(w, http.StatusNotFound,
+			fmt.Errorf("unknown run id %q (the ring keeps the last %d runs)", id, f.cfg.RunRingSize))
 		return
 	}
 	if !sum.HasTrace() {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			fmt.Errorf("run %s has no trace: cache hits and sweep batches skip span capture; re-run with POST /v1/run?trace=chrome", id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := writeEngineTrace(w, sum.Procs, sum.Trace); err != nil {
-		s.logger.LogAttrs(r.Context(), slog.LevelError, "trace stream failed",
+		f.cfg.Logger.LogAttrs(r.Context(), slog.LevelError, "trace stream failed",
 			slog.String("run_id", id), slog.String("error", err.Error()))
 	}
 }
