@@ -1,12 +1,13 @@
 package flagsim_test
 
-// Tracing-plane companion benchmark, gated by benchguard. The report
-// path is the dispatcher's hot loop — every executed job in the fleet
-// funnels through it — and this PR put the whole tracing plane on it
-// (timeline ring updates, four phase-histogram observations, run-ID
-// bookkeeping). This benchmark times a full report round trip over a
-// real listener so a regression in that bookkeeping shows up as serving
-// overhead against the recorded baseline.
+// Dispatcher benchmarks, gated by benchguard. The report path is the
+// dispatcher's hot loop for cold work — every executed job in the fleet
+// funnels through it, with the tracing plane's bookkeeping (timeline
+// ring updates, four phase-histogram observations, run-ID handling). A
+// warm sweep is its hot loop for repeated work: rows answered from the
+// result store with no fleet work at all. Both run over a real listener
+// so a regression shows up as serving overhead against the recorded
+// baseline.
 
 import (
 	"bytes"
@@ -114,4 +115,72 @@ func BenchmarkDispatcherReport(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		post("/v1/workers/report", reports[i])
 	}
+}
+
+// BenchmarkDispatcherSweepWarm times one warm fleet sweep over HTTP: one
+// builtin flag under 3 executors × scenarios 1–4 × 2 seeds, the shape of
+// a fleet-warm request, with all 24 results already in the store. An op
+// is decode, 24 content keys, one row-summary lookup per key and the
+// encode; ns/row is the per-row cost a warm re-submission pays.
+func BenchmarkDispatcherSweepWarm(b *testing.B) {
+	d, err := dist.NewDispatcher(dist.DispatcherConfig{DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	sreq := wire.SweepRequest{
+		Base:      wire.RunRequest{Flag: "mauritius"},
+		Execs:     []string{"static", "steal", "dynamic"},
+		Scenarios: []int{1, 2, 3, 4},
+		Seeds:     []uint64{1, 2},
+	}
+	_, specs, err := sreq.Resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, spec := range specs {
+		res, err := spec.RunOnce(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw, err := wire.MarshalResult(res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := d.Store().Put(spec.Key(), raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(sreq)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep := func() []byte {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("sweep status %d: %s", resp.StatusCode, raw)
+		}
+		return raw
+	}
+	var first dist.SweepFleetResponse
+	if err := json.Unmarshal(sweep(), &first); err != nil {
+		b.Fatal(err)
+	}
+	if first.Count != len(specs) || first.Computed != 0 || first.Failed != 0 {
+		b.Fatalf("warm sweep: count %d computed %d failed %d, want %d/0/0",
+			first.Count, first.Computed, first.Failed, len(specs))
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)), "ns/row")
 }

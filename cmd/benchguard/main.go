@@ -51,10 +51,12 @@ import (
 // nil-hook, probed, fault-injected, and oracle-verified for the static
 // one), the sweep pool, the two warm serving paths of the HTTP service,
 // the dispatcher's report path (which carries the tracing plane's
-// per-job bookkeeping), and the procedural flag generator (per-flag
-// generation, whose allocation envelope is pinned, plus the generated
-// sweep cold/warm pair guarding the content-addressed memo path).
-const guarded = "^(BenchmarkEngineStatic|BenchmarkEngineStaticNilHooks|BenchmarkEngineStaticProbed|BenchmarkEngineStaticFaults|BenchmarkEngineStaticOracle|BenchmarkEngineDynamic|BenchmarkEngineSteal|BenchmarkSweepParallel|BenchmarkServerRun|BenchmarkServerSweepWarm|BenchmarkDispatcherReport|BenchmarkGenFlag|BenchmarkSweepGeneratedCold|BenchmarkSweepGeneratedWarm)$"
+// per-job bookkeeping) and its warm sweep (rows read from stored
+// results), the procedural flag generator (per-flag generation, whose
+// allocation envelope is pinned, plus the generated sweep cold/warm pair
+// guarding the content-addressed memo path), and the content key itself,
+// whose allocation-flat baseline keeps it at 0 allocs/op.
+const guarded = "^(BenchmarkEngineStatic|BenchmarkEngineStaticNilHooks|BenchmarkEngineStaticProbed|BenchmarkEngineStaticFaults|BenchmarkEngineStaticOracle|BenchmarkEngineDynamic|BenchmarkEngineSteal|BenchmarkSweepParallel|BenchmarkServerRun|BenchmarkServerSweepWarm|BenchmarkDispatcherReport|BenchmarkDispatcherSweepWarm|BenchmarkGenFlag|BenchmarkSweepGeneratedCold|BenchmarkSweepGeneratedWarm|BenchmarkSpecKey)$"
 
 // flatBytesSlack is the absolute B/op growth allowed on an
 // allocation-flat benchmark before the gate fails. A genuinely

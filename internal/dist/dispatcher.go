@@ -153,8 +153,26 @@ type Dispatcher struct {
 	phaseStore    *obs.Histogram
 	phaseEndToEnd *obs.Histogram
 
+	// rows holds each stored result's row summary (see summary).
+	rowsMu sync.Mutex
+	rows   map[Key]rowSummary
+
 	mu      sync.Mutex
 	workers map[string]*workerInfo
+}
+
+// rowSummary is what a sweep row reads from one stored result, decoded
+// once from the verified payload. A content-addressed result never
+// changes, so an entry never goes stale; it lives as long as the store's
+// RAM copy of the payload, and a store that evicts must drop the two
+// together.
+type rowSummary struct {
+	makespanNS int64
+	events     uint64
+	gridSHA256 string
+	// err is set, and kept like a memoized error, when the payload is not
+	// a wire.SimResult.
+	err error
 }
 
 // NewDispatcher opens (recovering if needed) the durable state under
@@ -180,6 +198,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		log: cfg.Logger,
 		now: cfg.Now, start: cfg.Now(),
 		ring:    obs.NewRing[obs.JobTimeline](cfg.JobRingSize),
+		rows:    make(map[Key]rowSummary),
 		workers: make(map[string]*workerInfo),
 	}
 	reg := obs.NewRegistry()
@@ -464,40 +483,115 @@ func (d *Dispatcher) Run(ctx context.Context, call server.RunCall) (server.Reply
 	}}, nil
 }
 
-// Sweep is the fleet Backend's grid: rows the result tier holds are
-// warm, the other distinct keys are submitted to the fleet once (a
-// within-request duplicate still gets its own row, like flagsimd's
-// within-batch cache hits), and rows keep expansion order.
+// sweepKey is one distinct key of a sweep request and what every row
+// with that key says. Its err also carries the fleet's error for a
+// failed job, or errNoResult.
+type sweepKey struct {
+	key Key
+	// warm: the tier held a verified result before the request.
+	warm bool
+	// rows counts the request's rows with this key.
+	rows int
+	rowSummary
+}
+
+// Sweep is the fleet Backend's grid. One row-summary lookup per distinct
+// key decides whether it is warm and what its rows say; the cold keys
+// are submitted to the fleet once (a within-request duplicate still gets
+// its own row, like flagsimd's within-batch cache hits), and rows keep
+// expansion order.
 func (d *Dispatcher) Sweep(ctx context.Context, call server.SweepCall) (server.Reply, error) {
 	start := d.now()
-	keys := make([]Key, len(call.Specs))
-	warm := make(map[Key]bool, len(call.Specs)) // every distinct key: stored?
+	index := make(map[Key]int, len(call.Specs))
+	rowKey := make([]int, len(call.Specs)) // row i reads keys[rowKey[i]]
+	keys := make([]sweepKey, 0, len(call.Specs))
 	var cold []Job
 	for i, spec := range call.Specs {
 		key := spec.Key()
-		keys[i] = key
-		if _, seen := warm[key]; seen {
-			continue
+		j, seen := index[key]
+		if !seen {
+			j = len(keys)
+			index[key] = j
+			sum, warm := d.summary(key)
+			keys = append(keys, sweepKey{key: key, warm: warm, rowSummary: sum})
+			if !warm {
+				cold = append(cold, Job{KeyHex: hex.EncodeToString(key[:]), Req: call.Reqs[i]})
+			}
 		}
-		if warm[key] = d.store.Has(key); !warm[key] {
-			cold = append(cold, Job{KeyHex: hex.EncodeToString(key[:]), Req: call.Reqs[i]})
-		}
+		rowKey[i] = j
+		keys[j].rows++
 	}
 	added, deduped, err := d.submit(ctx, cold, call.RunID)
 	if err != nil {
 		return server.Reply{}, err
 	}
-	resp := SweepFleetResponse{Count: len(keys), Warm: len(warm) - len(cold), Computed: added, Deduped: deduped}
-	for i, key := range keys {
-		row := wire.SweepRunRow{Spec: call.Specs[i].Label(), CacheHit: warm[key]}
-		if err := d.fillRow(&row, key); err != nil {
-			row.Err = err.Error()
-			resp.Failed++
+	// Every row with a stored result counts as one tier hit, as a Get
+	// per row would; a row the fleet did not fail but left without one
+	// counts as a miss.
+	var hits, misses int
+	for j := range keys {
+		k := &keys[j]
+		if !k.warm {
+			if _, errMsg := d.queue.Status(k.key); errMsg != "" {
+				k.err = errors.New(errMsg)
+				continue
+			}
+			var ok bool
+			if k.rowSummary, ok = d.summary(k.key); !ok {
+				k.err = errNoResult
+				misses += k.rows
+				continue
+			}
 		}
-		resp.Runs = append(resp.Runs, row)
+		hits += k.rows
+	}
+	d.store.served(hits, misses)
+	resp := SweepFleetResponse{
+		Count: len(call.Specs), Warm: len(keys) - len(cold), Computed: added, Deduped: deduped,
+		Runs: make([]wire.SweepRunRow, len(call.Specs)),
+	}
+	for i, spec := range call.Specs {
+		k := &keys[rowKey[i]]
+		row := &resp.Runs[i]
+		row.Spec, row.CacheHit = spec.Label(), k.warm
+		if k.err != nil {
+			row.Err = k.err.Error()
+			resp.Failed++
+			continue
+		}
+		row.MakespanNS, row.Events, row.GridSHA256 = k.makespanNS, k.events, k.gridSHA256
 	}
 	resp.WallNS = int64(d.now().Sub(start))
 	return server.Reply{Body: resp, CacheHit: len(cold) == 0}, nil
+}
+
+// summary returns key's row summary, decoding the stored result the
+// first time a row needs it. ok is false when the store holds no
+// verified result for key — never stored, or a damaged file that
+// verify-on-read just purged; that answer is not kept, so a recomputed
+// result is found next time. The lookup counts no tier hit or miss:
+// Sweep counts the rows it serves.
+func (d *Dispatcher) summary(key Key) (sum rowSummary, ok bool) {
+	d.rowsMu.Lock()
+	sum, ok = d.rows[key]
+	d.rowsMu.Unlock()
+	if ok {
+		return sum, true
+	}
+	raw, ok := d.store.read(key)
+	if !ok {
+		return rowSummary{}, false
+	}
+	var res wire.SimResult
+	if err := wire.Decode(raw, &res); err != nil {
+		sum.err = fmt.Errorf("dist: stored result undecodable: %v", err)
+	} else {
+		sum = rowSummary{makespanNS: res.MakespanNS, events: res.Events, gridSHA256: res.GridSHA256}
+	}
+	d.rowsMu.Lock()
+	d.rows[key] = sum
+	d.rowsMu.Unlock()
+	return sum, true
 }
 
 // submit enqueues jobs durably under runID and waits until each one
@@ -526,24 +620,6 @@ func (d *Dispatcher) submit(ctx context.Context, jobs []Job, runID string) (adde
 		}
 	}
 	return added, deduped, nil
-}
-
-// fillRow completes a sweep row from its key's outcome: the fleet's
-// error for a failed job, else the stored result's summary fields.
-func (d *Dispatcher) fillRow(row *wire.SweepRunRow, key Key) error {
-	if _, errMsg := d.queue.Status(key); errMsg != "" && !row.CacheHit {
-		return errors.New(errMsg)
-	}
-	raw, ok := d.store.Get(key)
-	if !ok {
-		return errNoResult
-	}
-	var res wire.SimResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return fmt.Errorf("dist: stored result undecodable: %v", err)
-	}
-	row.MakespanNS, row.Events, row.GridSHA256 = res.MakespanNS, res.Events, res.GridSHA256
-	return nil
 }
 
 func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {

@@ -16,7 +16,10 @@ package dist
 // covers op+payload. opEnqueue's payload is the job's JSON; opComplete's
 // is key[32] | u8 ok | error message. Completes for unknown keys are
 // no-ops on replay: they arise legitimately when a snapshot already
-// dropped the job.
+// dropped the job. An enqueue of a key that an earlier frame completed
+// makes the job pending again: the queue re-admitted it because its
+// stored result was purged (see Queue.Enqueue). Any other enqueue of a
+// known key is a no-op.
 
 import (
 	"encoding/binary"

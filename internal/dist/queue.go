@@ -66,6 +66,10 @@ type lease struct {
 type Queue struct {
 	dir string
 	now func() time.Time
+	// store, when non-nil, holds the results of done jobs: recovery
+	// self-heals against it and Enqueue re-admits a done job whose
+	// result it no longer holds.
+	store *ResultStore
 
 	mu      sync.Mutex
 	j       *journal
@@ -85,7 +89,8 @@ type Queue struct {
 // OpenQueue recovers (or creates) the queue persisted under dir. store,
 // when non-nil, self-heals the one unjournaled gap: a job whose result
 // already reached the store — the dispatcher persists results before
-// journaling completion — is marked done instead of requeued.
+// journaling completion — is marked done instead of requeued. Enqueue
+// also asks it whether a done job's result still exists.
 func OpenQueue(dir string, store *ResultStore, now func() time.Time) (*Queue, error) {
 	if now == nil {
 		now = time.Now
@@ -102,16 +107,18 @@ func OpenQueue(dir string, store *ResultStore, now func() time.Time) (*Queue, er
 		return nil, err
 	}
 	q := &Queue{
-		dir: dir, now: now, j: j,
+		dir: dir, now: now, store: store, j: j,
 		jobs:    make(map[Key]Job),
 		state:   make(map[Key]jobState),
 		leases:  make(map[string]*lease),
 		errs:    make(map[Key]string),
 		waiters: make(map[Key]chan struct{}),
 	}
+	// An enqueue frame of a done job is a re-admission (see Enqueue):
+	// the job is pending again.
 	add := func(job Job) {
 		key := job.Key()
-		if _, known := q.jobs[key]; known {
+		if st, known := q.state[key]; known && st != stateDone {
 			return
 		}
 		q.jobs[key] = job
@@ -168,14 +175,18 @@ func (q *Queue) Close() error {
 
 // Enqueue accepts a batch of jobs, journaling new ones durably (one
 // fsync for the whole batch) before returning. Jobs whose key is
-// already known — pending, leased, done, or failed — dedupe.
+// already known — pending, leased, failed (the error is a deterministic
+// property of the spec), or done — dedupe. The exception is a done job
+// whose result the store no longer holds, because verify-on-read purged
+// a damaged file: it is re-admitted under a fresh enqueue frame and
+// computed again.
 func (q *Queue) Enqueue(jobs []Job) (added, deduped int, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var fresh []Key
 	for _, job := range jobs {
 		key := job.Key()
-		if _, known := q.jobs[key]; known {
+		if st, known := q.state[key]; known && !q.resultLost(st, key) {
 			deduped++
 			q.deduped++
 			continue
@@ -198,6 +209,12 @@ func (q *Queue) Enqueue(jobs []Job) (added, deduped int, err error) {
 		q.pending = append(q.pending, fresh...)
 	}
 	return added, deduped, nil
+}
+
+// resultLost reports whether a job in state st is done but its result
+// has left the store; q.mu must be held.
+func (q *Queue) resultLost(st jobState, key Key) bool {
+	return st == stateDone && q.store != nil && !q.store.Has(key)
 }
 
 // Lease hands the oldest pending job to worker under a lease of the

@@ -248,3 +248,102 @@ func TestQueueCompaction(t *testing.T) {
 		t.Fatalf("post-compaction recovered depth = %d, want 4", depth)
 	}
 }
+
+// TestQueueReadmitsLostResult: a done job whose result has left the
+// store (verify-on-read purged it) is admitted again under a fresh
+// enqueue frame, so it is recomputed and a reopened queue still holds it
+// as pending. Failed jobs and done jobs with a stored result dedupe.
+func TestQueueReadmitsLostResult(t *testing.T) {
+	dir := t.TempDir()
+	clock := newFakeClock()
+	store, err := OpenResultStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := openTestQueue(t, dir, store, clock)
+	lost, kept, failed := testJob(t, 1), testJob(t, 2), testJob(t, 3)
+	if _, _, err := q.Enqueue([]Job{lost, kept, failed}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		leaseID, job, ok := q.Lease("w", time.Minute)
+		if !ok {
+			t.Fatal("lease failed")
+		}
+		switch job.KeyHex {
+		case failed.KeyHex:
+			err = q.Complete(leaseID, job.Key(), false, "engine rejected the spec")
+		case kept.KeyHex:
+			if err := store.Put(job.Key(), []byte(`{"pretend":"result"}`)); err != nil {
+				t.Fatal(err)
+			}
+			err = q.Complete(leaseID, job.Key(), true, "")
+		default:
+			err = q.Complete(leaseID, job.Key(), true, "")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	added, deduped, err := q.Enqueue([]Job{lost, kept, failed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added != 1 || deduped != 2 {
+		t.Fatalf("re-enqueue added %d deduped %d, want 1/2", added, deduped)
+	}
+	if done, _ := q.Status(lost.Key()); done {
+		t.Fatal("re-admitted job still reports done")
+	}
+	select {
+	case <-q.DoneCh(lost.Key()):
+		t.Fatal("re-admitted job's done channel is closed")
+	default:
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	q2 := openTestQueue(t, dir, store, clock)
+	defer q2.Close()
+	if done, _ := q2.Status(lost.Key()); done {
+		t.Fatal("reopened queue holds the re-admitted job as done")
+	}
+	if _, job, ok := q2.Lease("w", time.Minute); !ok || job.KeyHex != lost.KeyHex {
+		t.Fatalf("reopened queue leased %v %q, want the re-admitted job", ok, job.KeyHex)
+	}
+	if _, _, ok := q2.Lease("w", time.Minute); ok {
+		t.Fatal("reopened queue leased a second job")
+	}
+}
+
+// TestQueueReplaysEnqueueAfterComplete pins the journal rule alone: an
+// enqueue frame that follows a completion of the same key leaves the job
+// pending on replay.
+func TestQueueReplaysEnqueueAfterComplete(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := testJob(t, 4)
+	for _, step := range []func() error{
+		func() error { return j.appendEnqueue(job) },
+		func() error { return j.appendComplete(job.Key(), true, "") },
+		func() error { return j.appendEnqueue(job) },
+		j.sync, j.close,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := openTestQueue(t, dir, nil, newFakeClock())
+	defer q.Close()
+	if done, _ := q.Status(job.Key()); done {
+		t.Fatal("job re-enqueued after its completion replayed as done")
+	}
+	if st := q.Stats(); st.Depth != 1 || st.Recovered != 1 {
+		t.Fatalf("replayed queue stats %+v, want one recovered pending job", st)
+	}
+}

@@ -142,16 +142,26 @@ func (s *ResultStore) Stats() StoreStats {
 // a file that fails verification is deleted and reported as a miss.
 // The returned slice is shared — callers must not mutate it.
 func (s *ResultStore) Get(key Key) ([]byte, bool) {
+	data, ok := s.read(key)
+	if ok {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
+	return data, ok
+}
+
+// read is Get without the hit and miss counts, for a caller that serves
+// repeated reads from its own copy and counts them itself (served).
+func (s *ResultStore) read(key Key) ([]byte, bool) {
 	s.mu.Lock()
 	if data, ok := s.mem[key]; ok {
 		s.mu.Unlock()
-		s.hits.Add(1)
 		return data, true
 	}
 	_, present := s.index[key]
 	s.mu.Unlock()
 	if !present {
-		s.misses.Add(1)
 		return nil, false
 	}
 
@@ -159,20 +169,24 @@ func (s *ResultStore) Get(key Key) ([]byte, bool) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		s.drop(key, path)
-		s.misses.Add(1)
 		return nil, false
 	}
 	payload, err := decodeEntry(key, raw)
 	if err != nil {
 		s.drop(key, path)
-		s.misses.Add(1)
 		return nil, false
 	}
 	s.mu.Lock()
 	s.mem[key] = payload
 	s.mu.Unlock()
-	s.hits.Add(1)
 	return payload, true
+}
+
+// served counts results answered from a caller's copy of what read
+// returned as hits, and results asked for but absent as misses.
+func (s *ResultStore) served(hits, misses int) {
+	s.hits.Add(int64(hits))
+	s.misses.Add(int64(misses))
 }
 
 // Put stores payload under key, first-write-wins. Storing different

@@ -15,9 +15,10 @@ package sweep
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 	"time"
 
 	"flagsim/internal/core"
@@ -98,25 +99,26 @@ type Spec struct {
 
 // Label renders a compact human-readable identity for tables and errors.
 func (s Spec) Label() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s", s.Exec, s.Flag)
+	var buf [96]byte
+	b := append(buf[:0], s.Exec.String()...)
+	b = append(append(b, '/'), s.Flag...)
 	if s.Exec == ExecDynamic {
-		fmt.Fprintf(&b, "/%s", s.Policy)
+		b = append(append(b, '/'), s.Policy.String()...)
 	} else {
-		fmt.Fprintf(&b, "/%s", s.Scenario)
+		b = append(append(b, '/'), s.Scenario.String()...)
 	}
 	if s.Workers > 0 {
-		fmt.Fprintf(&b, "/p=%d", s.Workers)
+		b = strconv.AppendInt(append(b, "/p="...), int64(s.Workers), 10)
 	}
-	fmt.Fprintf(&b, "/%s", s.Kind)
+	b = append(append(b, '/'), s.Kind.String()...)
 	if s.PerColor > 1 {
-		fmt.Fprintf(&b, "x%d", s.PerColor)
+		b = strconv.AppendInt(append(b, 'x'), int64(s.PerColor), 10)
 	}
-	fmt.Fprintf(&b, "/seed=%d", s.Seed)
+	b = strconv.AppendUint(append(b, "/seed="...), s.Seed, 10)
 	if s.Faults != nil {
-		fmt.Fprintf(&b, "/faults=%s", s.Faults.Label())
+		b = append(append(b, "/faults="...), s.Faults.Label()...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Key returns the spec's content address: a SHA-256 digest over a
@@ -135,19 +137,35 @@ func (s Spec) Key() [sha256.Size]byte {
 	if ck, ok := flaggen.ContentKey(flag); ok {
 		flag = ck
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "sweep-v1|exec=%d|flag=%s|w=%d|h=%d|scen=%d|workers=%d|kind=%d|percolor=%d|seed=%d|setup=%d|hold=%d|policy=%d|jitter=%x|skills=",
-		s.Exec, flag, s.W, s.H, s.Scenario, s.Workers, s.Kind, s.PerColor,
-		s.Seed, s.Setup, s.Hold, s.Policy, math.Float64bits(s.Jitter))
+	// The encoding is appended into a stack buffer, so a builtin spec's
+	// key costs no allocation. Every byte is persisted (journal frames,
+	// snapshots, results/<hex> files): the golden test in key_test.go
+	// pins it against the original fmt-built encoding.
+	var buf [256]byte
+	b := strconv.AppendUint(append(buf[:0], "sweep-v1|exec="...), uint64(s.Exec), 10)
+	b = append(append(b, "|flag="...), flag...)
+	b = strconv.AppendInt(append(b, "|w="...), int64(s.W), 10)
+	b = strconv.AppendInt(append(b, "|h="...), int64(s.H), 10)
+	b = strconv.AppendUint(append(b, "|scen="...), uint64(s.Scenario), 10)
+	b = strconv.AppendInt(append(b, "|workers="...), int64(s.Workers), 10)
+	b = strconv.AppendUint(append(b, "|kind="...), uint64(s.Kind), 10)
+	b = strconv.AppendInt(append(b, "|percolor="...), int64(s.PerColor), 10)
+	b = strconv.AppendUint(append(b, "|seed="...), s.Seed, 10)
+	b = strconv.AppendInt(append(b, "|setup="...), int64(s.Setup), 10)
+	b = strconv.AppendUint(append(b, "|hold="...), uint64(s.Hold), 10)
+	b = strconv.AppendUint(append(b, "|policy="...), uint64(s.Policy), 10)
+	b = strconv.AppendUint(append(b, "|jitter="...), math.Float64bits(s.Jitter), 16)
+	b = append(b, "|skills="...)
 	for _, sk := range s.Skills {
-		fmt.Fprintf(&b, "%x,", math.Float64bits(sk))
+		b = append(strconv.AppendUint(b, math.Float64bits(sk), 16), ',')
 	}
 	// Fault plans extend the encoding only when present, so every
 	// pre-fault spec keeps the address it always had.
 	if s.Faults != nil {
-		fmt.Fprintf(&b, "|faults=%x", s.Faults.Key())
+		fk := s.Faults.Key()
+		b = hex.AppendEncode(append(b, "|faults="...), fk[:])
 	}
-	return sha256.Sum256([]byte(b.String()))
+	return sha256.Sum256(b)
 }
 
 // team materializes n fresh student processors from the spec's seed. A
