@@ -61,6 +61,33 @@ func BenchmarkSweepGeneratedCold(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)), "ns/run")
+}
+
+// BenchmarkSweepGeneratedExecs is the generated-cold workload's sweep
+// shape on a fresh pool each iteration: 8 generated flags under all
+// three executors at scenario 2, so the three runs of each flag share
+// one geometry. The flags stay in the generator's cache, so this times
+// planning, the engine and verification, not generation.
+func BenchmarkSweepGeneratedExecs(b *testing.B) {
+	flags := make([]string, 8)
+	for v := range flags {
+		flags[v] = flagsim.GenFlagName(42, uint64(v))
+	}
+	specs := flagsim.SweepGrid{
+		Base: flagsim.SweepSpec{Flag: flags[0], Scenario: flagsim.S2, Workers: 2,
+			Kind: flagsim.ThickMarker, Setup: flagsim.DefaultSetup, Seed: 1},
+		Execs: []flagsim.SweepExec{flagsim.SweepStatic, flagsim.SweepSteal, flagsim.SweepDynamic},
+		Flags: flags,
+	}.Specs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := flagsim.RunSweep(specs, flagsim.SweepOptions{Workers: 8})
+		if err := res.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)), "ns/run")
 }
 
 // BenchmarkSweepGeneratedWarm reruns the generated grid on a Sweeper

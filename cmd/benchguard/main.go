@@ -54,9 +54,11 @@ import (
 // per-job bookkeeping) and its warm sweep (rows read from stored
 // results), the procedural flag generator (per-flag generation, whose
 // allocation envelope is pinned, plus the generated sweep cold/warm pair
-// guarding the content-addressed memo path), and the content key itself,
-// whose allocation-flat baseline keeps it at 0 allocs/op.
-const guarded = "^(BenchmarkEngineStatic|BenchmarkEngineStaticNilHooks|BenchmarkEngineStaticProbed|BenchmarkEngineStaticFaults|BenchmarkEngineStaticOracle|BenchmarkEngineDynamic|BenchmarkEngineSteal|BenchmarkSweepParallel|BenchmarkServerRun|BenchmarkServerSweepWarm|BenchmarkDispatcherReport|BenchmarkDispatcherSweepWarm|BenchmarkGenFlag|BenchmarkSweepGeneratedCold|BenchmarkSweepGeneratedWarm|BenchmarkSpecKey)$"
+// guarding the content-addressed memo path, and the generated sweep over
+// all three executors, whose runs share one geometry per flag), and the
+// content key itself, whose allocation-flat baseline keeps it at 0
+// allocs/op.
+const guarded = "^(BenchmarkEngineStatic|BenchmarkEngineStaticNilHooks|BenchmarkEngineStaticProbed|BenchmarkEngineStaticFaults|BenchmarkEngineStaticOracle|BenchmarkEngineDynamic|BenchmarkEngineSteal|BenchmarkSweepParallel|BenchmarkServerRun|BenchmarkServerSweepWarm|BenchmarkDispatcherReport|BenchmarkDispatcherSweepWarm|BenchmarkGenFlag|BenchmarkSweepGeneratedCold|BenchmarkSweepGeneratedExecs|BenchmarkSweepGeneratedWarm|BenchmarkSpecKey)$"
 
 // flatBytesSlack is the absolute B/op growth allowed on an
 // allocation-flat benchmark before the gate fails. A genuinely

@@ -97,17 +97,22 @@ func ScenarioByID(id ScenarioID) (Scenario, error) {
 
 // Plan builds the scenario's decomposition of flag f at size w×h.
 func (s Scenario) Plan(f *flagspec.Flag, w, h int) (*workplan.Plan, error) {
+	return s.PlanFrom(workplan.NewGeometry(f, w, h))
+}
+
+// PlanFrom is Plan over a precomputed geometry of the flag and size.
+func (s Scenario) PlanFrom(g *workplan.Geometry) (*workplan.Plan, error) {
 	switch s.ID {
 	case S1:
-		return workplan.Sequential(f, w, h)
+		return g.Sequential()
 	case S2:
-		return workplan.LayerBlocks(f, w, h, 2)
+		return g.LayerBlocks(2)
 	case S3:
-		return workplan.LayerBlocks(f, w, h, min(s.Workers, len(f.Layers)))
+		return g.LayerBlocks(min(s.Workers, len(g.Flag().Layers)))
 	case S4:
-		return workplan.VerticalSlices(f, w, h, s.Workers, false)
+		return g.VerticalSlices(s.Workers, false)
 	case S4Pipelined:
-		return workplan.VerticalSlices(f, w, h, s.Workers, true)
+		return g.VerticalSlices(s.Workers, true)
 	default:
 		return nil, fmt.Errorf("core: scenario %v has no plan", s.ID)
 	}
@@ -138,12 +143,17 @@ type RunSpec struct {
 	// (see sim.FaultInjector). Safe fault classes leave the final grid
 	// correct, so Run's verification still passes under faults.
 	Faults sim.FaultInjector
+	// Geometry, when non-nil, is Flag's precomputed raster at the run's
+	// size; the run plans and verifies from it instead of rasterizing
+	// the flag. A geometry of another flag or size is an error.
+	Geometry *workplan.Geometry
 }
 
-// simConfig translates a RunSpec into the simulator's plan-driven config.
-func simConfig(spec RunSpec) (sim.Config, error) {
+// simConfig translates a RunSpec into the simulator's plan-driven config,
+// and returns the geometry the plan was built from for the final check.
+func simConfig(spec RunSpec) (sim.Config, *workplan.Geometry, error) {
 	if spec.Flag == nil {
-		return sim.Config{}, fmt.Errorf("core: nil flag")
+		return sim.Config{}, nil, fmt.Errorf("core: nil flag")
 	}
 	w, h := spec.W, spec.H
 	if w <= 0 {
@@ -152,14 +162,20 @@ func simConfig(spec RunSpec) (sim.Config, error) {
 	if h <= 0 {
 		h = spec.Flag.DefaultH
 	}
-	plan, err := spec.Scenario.Plan(spec.Flag, w, h)
+	geo := spec.Geometry
+	if geo == nil {
+		geo = workplan.NewGeometry(spec.Flag, w, h)
+	} else if err := geo.Match(spec.Flag, w, h); err != nil {
+		return sim.Config{}, nil, err
+	}
+	plan, err := spec.Scenario.PlanFrom(geo)
 	if err != nil {
-		return sim.Config{}, err
+		return sim.Config{}, nil, err
 	}
 	// A team larger than the plan needs is fine: the extra students sit
 	// out (scenario 3 on a three-stripe flag uses only three colorers).
 	if len(spec.Team) < plan.NumProcs() {
-		return sim.Config{}, fmt.Errorf("core: %v wants %d workers, team has %d",
+		return sim.Config{}, nil, fmt.Errorf("core: %v wants %d workers, team has %d",
 			spec.Scenario.ID, plan.NumProcs(), len(spec.Team))
 	}
 	set := spec.Set
@@ -175,7 +191,7 @@ func simConfig(spec RunSpec) (sim.Config, error) {
 		Trace:  spec.Trace,
 		Probes: spec.Probes,
 		Faults: spec.Faults,
-	}, nil
+	}, geo, nil
 }
 
 // Run executes the scenario and verifies the flag was colored correctly.
@@ -185,7 +201,7 @@ func Run(spec RunSpec) (*sim.Result, error) { return RunCtx(nil, spec) }
 // simulation at the next engine checkpoint with sim.ErrCanceled. A nil
 // ctx runs unchecked.
 func RunCtx(ctx context.Context, spec RunSpec) (*sim.Result, error) {
-	cfg, err := simConfig(spec)
+	cfg, geo, err := simConfig(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +209,7 @@ func RunCtx(ctx context.Context, spec RunSpec) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Verify(spec.Flag); err != nil {
+	if err := res.VerifyGeometry(geo); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -207,7 +223,7 @@ func RunStealing(spec RunSpec) (*sim.Result, error) { return RunStealingCtx(nil,
 
 // RunStealingCtx is RunStealing with a cancellation context (see RunCtx).
 func RunStealingCtx(ctx context.Context, spec RunSpec) (*sim.Result, error) {
-	cfg, err := simConfig(spec)
+	cfg, geo, err := simConfig(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +231,7 @@ func RunStealingCtx(ctx context.Context, spec RunSpec) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Verify(spec.Flag); err != nil {
+	if err := res.VerifyGeometry(geo); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"flagsim/internal/flagspec"
 	"flagsim/internal/implement"
 	"flagsim/internal/sim"
+	"flagsim/internal/workplan"
 )
 
 func run(t *testing.T, id ScenarioID, seed uint64) *sim.Result {
@@ -78,6 +80,40 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := Run(RunSpec{Scenario: scen, Team: team}); err == nil {
 		t.Fatal("nil flag should error")
+	}
+}
+
+// TestRunGeometry: a run given its flag's geometry at its size gives the
+// same result as one that builds its own, for both executors; a
+// geometry of another size or flag is refused.
+func TestRunGeometry(t *testing.T) {
+	f := flagspec.GreatBritain
+	scen, _ := ScenarioByID(S2)
+	for name, run := range map[string]func(RunSpec) (*sim.Result, error){"static": Run, "steal": RunStealing} {
+		spec := func(geo *workplan.Geometry) RunSpec {
+			team, _ := NewTeam(2, 3)
+			return RunSpec{Flag: f, Scenario: scen, Team: team, Setup: DefaultSetup, Geometry: geo}
+		}
+		want, err := run(spec(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := run(spec(workplan.NewGeometry(f, f.DefaultW, f.DefaultH)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Makespan != want.Makespan || got.Events != want.Events || !got.Grid.Equal(want.Grid) ||
+			!reflect.DeepEqual(got.Plan, want.Plan) {
+			t.Errorf("%s: run from a given geometry differs from its own", name)
+		}
+		for _, geo := range []*workplan.Geometry{
+			workplan.NewGeometry(f, f.DefaultW+1, f.DefaultH),
+			workplan.NewGeometry(flagspec.Jordan, f.DefaultW, f.DefaultH),
+		} {
+			if _, err := run(spec(geo)); err == nil {
+				t.Errorf("%s: a mismatched geometry was used", name)
+			}
+		}
 	}
 }
 

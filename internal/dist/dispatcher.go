@@ -272,9 +272,9 @@ func (d *Dispatcher) Serve(ctx context.Context, ln net.Listener) error {
 // simulation request in the capture is decoded, expanded (sweeps), and
 // enqueued — pre-warming the fleet with exactly the work production
 // traffic asked for. Records are held to the front end's rules (strict
-// decoding, the sweep grid cap); non-simulation records and bodies the
-// front end would refuse are skipped and counted, not fatal: a capture
-// may span API versions.
+// decoding, the sweep grid cap, the request limits); non-simulation
+// records and bodies the front end would refuse are skipped and
+// counted, not fatal: a capture may span API versions.
 func (d *Dispatcher) ReplayTrace(path string) (added, deduped, skipped int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -298,12 +298,16 @@ func (d *Dispatcher) ReplayTrace(path string) (added, deduped, skipped int, err 
 		switch workload.InferKind(rec.Path, rec.Body) {
 		case workload.KindRun, workload.KindFaultedRun, workload.KindTraceRun:
 			var req wire.RunRequest
-			err = wire.Decode(rec.Body, &req)
+			if err = wire.Decode(rec.Body, &req); err == nil {
+				err = req.CheckLimits()
+			}
 			reqs = []wire.RunRequest{req}
 		case workload.KindSweep:
 			var sreq wire.SweepRequest
 			if err = wire.Decode(rec.Body, &sreq); err == nil && sreq.Size() <= d.cfg.MaxSweepSpecs {
-				reqs, err = sreq.Expand()
+				if err = sreq.CheckLimits(); err == nil {
+					reqs, err = sreq.Expand()
+				}
 			}
 		}
 		if err != nil || len(reqs) == 0 {
@@ -525,25 +529,26 @@ func (d *Dispatcher) Sweep(ctx context.Context, call server.SweepCall) (server.R
 	if err != nil {
 		return server.Reply{}, err
 	}
-	// Every row with a stored result counts as one tier hit, as a Get
-	// per row would; a row the fleet did not fail but left without one
-	// counts as a miss.
+	// Every row served warm counts as one tier hit, as a Get per row
+	// would; a row the fleet did not fail but left without a stored
+	// result counts as a miss. A row the fleet computed for this request
+	// counts neither: the tier did not serve it.
 	var hits, misses int
 	for j := range keys {
 		k := &keys[j]
-		if !k.warm {
-			if _, errMsg := d.queue.Status(k.key); errMsg != "" {
-				k.err = errors.New(errMsg)
-				continue
-			}
-			var ok bool
-			if k.rowSummary, ok = d.summary(k.key); !ok {
-				k.err = errNoResult
-				misses += k.rows
-				continue
-			}
+		if k.warm {
+			hits += k.rows
+			continue
 		}
-		hits += k.rows
+		if _, errMsg := d.queue.Status(k.key); errMsg != "" {
+			k.err = errors.New(errMsg)
+			continue
+		}
+		var ok bool
+		if k.rowSummary, ok = d.summary(k.key); !ok {
+			k.err = errNoResult
+			misses += k.rows
+		}
 	}
 	d.store.served(hits, misses)
 	resp := SweepFleetResponse{

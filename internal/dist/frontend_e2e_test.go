@@ -13,6 +13,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -87,6 +89,15 @@ func TestFrontendSameAnswersFromBothBackends(t *testing.T) {
 		{"sweep trailing document", post, "/v1/sweep", `{"base":{}}{"seeds":[1]}`, "", 400},
 		{"sweep unknown flag", post, "/v1/sweep", `{"base":{},"flags":["mauritius","atlantis"]}`, "", 400},
 		{"grid over the cap", post, "/v1/sweep", overCap, "", 400},
+		{"run at the size limit", post, "/v1/run", `{"w":1024,"h":4,"seed":1}`, "", 200},
+		{"billion-cell sides", post, "/v1/run", `{"w":1000000000,"h":1000000000}`, "", 400},
+		{"width over the limit", post, "/v1/run", `{"w":1025,"h":4}`, "", 400},
+		{"height over the limit", post, "/v1/run", `{"w":4,"h":1025}`, "", 400},
+		{"workers over the limit", post, "/v1/run", `{"exec":"dynamic","workers":1025}`, "", 400},
+		{"per_color over the limit", post, "/v1/run", `{"per_color":1000000000}`, "", 400},
+		{"sweep base over the limit", post, "/v1/sweep", `{"base":{"w":2048},"seeds":[1,2]}`, "", 400},
+		{"sweep per_color axis over the limit", post, "/v1/sweep", `{"base":{},"per_color":[1,2,1025]}`, "", 400},
+		{"sweep workers axis over the limit", post, "/v1/sweep", `{"base":{"exec":"dynamic"},"workers":[2,4096]}`, "", 400},
 		{"GET run", get, "/v1/run", "", "", 405},
 		{"GET sweep", get, "/v1/sweep", "", "", 405},
 		{"negative jitter", post, "/v1/run", `{"jitter":-1}`, "", 422},
@@ -148,6 +159,84 @@ func TestFrontendSameAnswersFromBothBackends(t *testing.T) {
 	}
 	if rec, _ = exchange(t, f.srv.URL, get, "/v1/runs/"+clientID+"/trace", "", ""); rec.Status != http.StatusNotFound {
 		t.Errorf("flagdispd run trace: status %d, want 404", rec.Status)
+	}
+}
+
+// TestRequestLimitsCheckedBeforeRunning: a run or sweep asking for more
+// than the request limits allow is refused with 400 naming the limit by
+// both daemons, without planning or allocating the run.
+func TestRequestLimitsCheckedBeforeRunning(t *testing.T) {
+	d, err := NewDispatcher(DispatcherConfig{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, row := range []struct{ path, body, limit string }{
+		{"/v1/run", `{"w":1000000000,"h":1000000000}`, "w 1000000000 is over the limit 1024"},
+		{"/v1/run", `{"w":512,"h":4096}`, "h 4096 is over the limit 1024"},
+		{"/v1/run", `{"exec":"dynamic","workers":1000000000}`, "workers 1000000000 is over the limit 1024"},
+		{"/v1/run", `{"per_color":1000000000}`, "per_color 1000000000 is over the limit 1024"},
+		{"/v1/sweep", `{"base":{},"per_color":[1,1000000000]}`, "per_color 1000000000 is over the limit 1024"},
+		{"/v1/sweep", `{"base":{},"workers":[1000000000]}`, "workers 1000000000 is over the limit 1024"},
+	} {
+		for name, h := range map[string]http.Handler{
+			"flagsimd":  server.New(server.Config{}).Handler(),
+			"flagdispd": d.Handler(),
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, row.path, strings.NewReader(row.body)))
+			runtime.ReadMemStats(&after)
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), row.limit) {
+				t.Errorf("%s %s: status %d, want 400 naming the limit: %s", name, row.body, w.Code, w.Body)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+				t.Errorf("%s %s: refusing the request allocated %d bytes, want under 4 MB", name, row.body, alloc)
+			}
+		}
+	}
+	if n := len(d.Queue().PendingJobs()); n != 0 {
+		t.Errorf("refused requests left %d jobs queued", n)
+	}
+}
+
+// TestReplayTraceSkipsRequestsOverTheLimits: trace replay holds records
+// to the front end's request limits, skipping and counting the ones the
+// front end would refuse.
+func TestReplayTraceSkipsRequestsOverTheLimits(t *testing.T) {
+	d, err := NewDispatcher(DispatcherConfig{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	path := filepath.Join(t.TempDir(), "capture.fswl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := workload.NewTraceWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []workload.Record{
+		{Status: 200, Method: http.MethodPost, Path: "/v1/run", Body: []byte(`{"flag":"france","seed":1}`)},
+		{Status: 400, Method: http.MethodPost, Path: "/v1/run", Body: []byte(`{"w":1000000000,"h":1000000000}`)},
+		{Status: 400, Method: http.MethodPost, Path: "/v1/sweep", Body: []byte(`{"base":{},"per_color":[1,2000]}`)},
+	} {
+		if err := tw.Write(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	added, deduped, skipped, err := d.ReplayTrace(path)
+	if err != nil || added != 1 || deduped != 0 || skipped != 2 {
+		t.Fatalf("replay: added %d, deduped %d, skipped %d, err %v; want 1, 0, 2, nil", added, deduped, skipped, err)
 	}
 }
 

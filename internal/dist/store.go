@@ -191,9 +191,10 @@ func (s *ResultStore) served(hits, misses int) {
 
 // Put stores payload under key, first-write-wins. Storing different
 // bytes under an existing key returns ErrResultMismatch and keeps the
-// original.
+// original. Its first-write check is no lookup: it counts as neither a
+// hit nor a miss.
 func (s *ResultStore) Put(key Key, payload []byte) error {
-	if existing, ok := s.Get(key); ok {
+	if existing, ok := s.read(key); ok {
 		if bytes.Equal(existing, payload) {
 			return nil
 		}

@@ -64,6 +64,35 @@ func TestStorePutGetAcrossOpens(t *testing.T) {
 	}
 }
 
+// TestStorePutCountsNoLookup: hits and misses count lookups only. A
+// cold fleet sweep's stores count neither, and neither does a duplicate
+// Put of a stored result.
+func TestStorePutCountsNoLookup(t *testing.T) {
+	f := startFleet(t, t.TempDir())
+	stopWorkers := startWorkers(t, f, 2, nil)
+	defer f.stop(t)
+	defer stopWorkers()
+	resp := postSweep(t, f.srv.URL, e2eSweepRequest())
+	if resp.Failed != 0 || resp.Computed != 6 || resp.Count != 6 {
+		t.Fatalf("cold sweep: %+v", resp)
+	}
+	store := f.d.Store()
+	if st := store.Stats(); st.Entries != 6 || st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("after a cold 6-row sweep: %+v, want 6 entries, 0 hits, 0 misses", st)
+	}
+	jobs, _ := localCanonical(t, e2eSweepRequest())
+	payload, ok := store.read(jobs[0].Key())
+	if !ok {
+		t.Fatal("no stored result for the sweep's first row")
+	}
+	if err := store.Put(jobs[0].Key(), payload); err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("a duplicate Put counted a lookup: %+v", st)
+	}
+}
+
 // TestStoreCorruptionDetected pins verify-on-read: flipped payload bytes
 // are detected, the file removed, and the key reported as a miss.
 func TestStoreCorruptionDetected(t *testing.T) {

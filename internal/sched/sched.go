@@ -19,7 +19,6 @@ import (
 
 	"flagsim/internal/flagspec"
 	"flagsim/internal/geom"
-	"flagsim/internal/grid"
 	"flagsim/internal/workplan"
 )
 
@@ -31,10 +30,9 @@ type region struct {
 
 // regionsOf splits each layer's cells into row runs — the natural "color
 // this row of the stripe" units students actually divide work into.
-func regionsOf(f *flagspec.Flag, w, h int) []region {
-	layerCells := grid.LayerCells(f, w, h)
+func regionsOf(g *workplan.Geometry) []region {
 	var out []region
-	for li, cells := range layerCells {
+	for li, cells := range g.LayerCells() {
 		byRow := make(map[int][]geom.Pt)
 		var rows []int
 		for _, c := range cells {
@@ -51,39 +49,14 @@ func regionsOf(f *flagspec.Flag, w, h int) []region {
 	return out
 }
 
-func buildPlan(f *flagspec.Flag, w, h int, strategy string, perProc [][]workplan.Task) (*workplan.Plan, error) {
-	layerCells := grid.LayerCells(f, w, h)
-	counts := make([]int, len(layerCells))
-	for i, cells := range layerCells {
-		counts[i] = len(cells)
-	}
-	deps := make([][]int, len(f.Layers))
-	index := make(map[string]int, len(f.Layers))
-	for i, l := range f.Layers {
-		index[l.Name] = i
-	}
-	overlaps := f.Overlaps(w, h)
-	for i, l := range f.Layers {
-		set := map[int]bool{}
-		for _, d := range l.DependsOn {
-			set[index[d]] = true
-		}
-		for _, j := range overlaps[i] {
-			set[j] = true
-		}
-		var ds []int
-		for d := range set {
-			ds = append(ds, d)
-		}
-		sort.Ints(ds)
-		deps[i] = ds
-	}
+func buildPlan(g *workplan.Geometry, strategy string, perProc [][]workplan.Task) (*workplan.Plan, error) {
+	w, h := g.Size()
 	plan := &workplan.Plan{
-		FlagName: f.Name, W: w, H: h,
+		FlagName: g.Flag().Name, W: w, H: h,
 		Strategy:       strategy,
 		PerProc:        perProc,
-		LayerDeps:      deps,
-		LayerCellCount: counts,
+		LayerDeps:      g.LayerDeps(),
+		LayerCellCount: g.LayerCellCount(),
 		Overpainted:    true,
 	}
 	if err := plan.Validate(); err != nil {
@@ -100,7 +73,8 @@ func LPT(f *flagspec.Flag, w, h, p int) (*workplan.Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("sched: %d processors", p)
 	}
-	regions := regionsOf(f, w, h)
+	g := workplan.NewGeometry(f, w, h)
+	regions := regionsOf(g)
 	// Stable sort: longest first, then layer, then first cell for
 	// determinism.
 	sort.SliceStable(regions, func(a, b int) bool {
@@ -129,7 +103,7 @@ func LPT(f *flagspec.Flag, w, h, p int) (*workplan.Plan, error) {
 	for pi := range perProc {
 		sortTasks(perProc[pi])
 	}
-	return buildPlan(f, w, h, fmt.Sprintf("lpt(p=%d)", p), perProc)
+	return buildPlan(g, fmt.Sprintf("lpt(p=%d)", p), perProc)
 }
 
 // Chunked models fixed-size chunk self-scheduling: an idle processor takes
@@ -144,7 +118,8 @@ func Chunked(f *flagspec.Flag, w, h, p, chunk int) (*workplan.Plan, error) {
 	if chunk <= 0 {
 		return nil, fmt.Errorf("sched: chunk size %d", chunk)
 	}
-	stream := taskStream(f, w, h)
+	g := workplan.NewGeometry(f, w, h)
+	stream := taskStream(g)
 	perProc := make([][]workplan.Task, p)
 	for i := 0; i < len(stream); i += chunk {
 		end := i + chunk
@@ -157,7 +132,7 @@ func Chunked(f *flagspec.Flag, w, h, p, chunk int) (*workplan.Plan, error) {
 	for pi := range perProc {
 		sortTasks(perProc[pi])
 	}
-	return buildPlan(f, w, h, fmt.Sprintf("chunked(p=%d,chunk=%d)", p, chunk), perProc)
+	return buildPlan(g, fmt.Sprintf("chunked(p=%d,chunk=%d)", p, chunk), perProc)
 }
 
 // Guided models guided self-scheduling: each grab takes
@@ -167,7 +142,8 @@ func Guided(f *flagspec.Flag, w, h, p int) (*workplan.Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("sched: %d processors", p)
 	}
-	stream := taskStream(f, w, h)
+	g := workplan.NewGeometry(f, w, h)
+	stream := taskStream(g)
 	perProc := make([][]workplan.Task, p)
 	load := make([]int, p)
 	i := 0
@@ -192,14 +168,14 @@ func Guided(f *flagspec.Flag, w, h, p int) (*workplan.Plan, error) {
 	for pi := range perProc {
 		sortTasks(perProc[pi])
 	}
-	return buildPlan(f, w, h, fmt.Sprintf("guided(p=%d)", p), perProc)
+	return buildPlan(g, fmt.Sprintf("guided(p=%d)", p), perProc)
 }
 
 // taskStream flattens the flag into layer-then-reading-order tasks.
-func taskStream(f *flagspec.Flag, w, h int) []workplan.Task {
-	layerCells := grid.LayerCells(f, w, h)
+func taskStream(g *workplan.Geometry) []workplan.Task {
+	f := g.Flag()
 	var out []workplan.Task
-	for li, cells := range layerCells {
+	for li, cells := range g.LayerCells() {
 		for _, c := range cells {
 			out = append(out, workplan.Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
 		}

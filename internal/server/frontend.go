@@ -5,9 +5,10 @@ package server
 // the local sweep pool, or the fleet's queue and result store — so
 // everything a simulation request meets before and after the backend
 // lives here, once: method guards, strict body decoding, spec
-// resolution, the grid cap, run IDs, the status table, the JSON writers,
-// the per-request envelope (pprof labels, request metrics, log line, run
-// ring, capture hook) and the graceful drain.
+// resolution, the grid cap, the request limits, run IDs, the status
+// table, the JSON writers, the per-request envelope (pprof labels,
+// request metrics, log line, run ring, capture hook) and the graceful
+// drain.
 
 import (
 	"bytes"
@@ -223,6 +224,10 @@ func (f *Frontend) handleRun(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
+	if err := req.CheckLimits(); err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return
+	}
 	spec, err := req.Spec()
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
@@ -275,6 +280,10 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if n := sreq.Size(); n > f.cfg.MaxSweepSpecs {
 		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("grid expands to %d specs, limit %d", n, f.cfg.MaxSweepSpecs))
+		return
+	}
+	if err := sreq.CheckLimits(); err != nil {
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	reqs, specs, err := sreq.Resolve()

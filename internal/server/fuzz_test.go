@@ -46,6 +46,9 @@ var fuzzSeedBodies = []string{
 	`{"faults":{"lost_paint_prob":0.5}}`,
 	`{"w":-1,"h":-1}`,
 	`{"w":1000000000,"h":1000000000}`,
+	`{"w":1025}`,
+	`{"workers":1000000000}`,
+	`{"per_color":1000000000}`,
 	`{"seed":18446744073709551615}`,
 	`{"unknown_field":1}`,
 	`[1,2,3]`,
@@ -87,7 +90,8 @@ func FuzzRunRequest(f *testing.F) {
 
 // TestRunRequestErrorsAre400 posts every rejection-branch body through
 // the real handler stack and requires a 400 — proving resolver errors
-// are classified as the client's fault, not mapped to 500 by accident.
+// and requests over the request limits are classified as the client's
+// fault, not mapped to 500 by accident.
 func TestRunRequestErrorsAre400(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -99,7 +103,9 @@ func TestRunRequestErrorsAre400(t *testing.T) {
 		decodeErr := decodeJSON(req, &run)
 		resolveErr := error(nil)
 		if decodeErr == nil {
-			_, resolveErr = run.Spec()
+			if resolveErr = run.CheckLimits(); resolveErr == nil {
+				_, resolveErr = run.Spec()
+			}
 		}
 		if decodeErr == nil && resolveErr == nil {
 			continue // a valid request; covered by the handler tests

@@ -73,6 +73,11 @@ type DynamicConfig struct {
 	// Arena, when non-nil, runs through the caller-owned arena (the
 	// Result aliases arena memory — see Config.Arena and arena.go).
 	Arena *Arena
+	// Geometry, when non-nil, is Flag's precomputed raster at the run's
+	// size (see workplan.Geometry); the run plans from it instead of
+	// rasterizing the flag. A geometry of another flag or size is an
+	// error.
+	Geometry *workplan.Geometry
 }
 
 // bagSource is the self-scheduling policy: a shared bag of unclaimed
@@ -386,14 +391,23 @@ func RunDynamicCtx(ctx context.Context, cfg DynamicConfig) (*Result, error) {
 	if cfg.Setup < 0 {
 		return nil, fmt.Errorf("sim: negative setup")
 	}
+	if cfg.Geometry != nil {
+		if err := cfg.Geometry.Match(cfg.Flag, w, h); err != nil {
+			return nil, err
+		}
+	}
 	// Build the bag from a sequential plan: one entry per (layer, cell).
 	// The decomposition is pure in (flag, w, h), so the arena caches it.
 	var seq *workplan.Plan
 	if a.seqFlag == cfg.Flag && a.seqW == w && a.seqH == h {
 		seq = a.seqPlan
 	} else {
+		geo := cfg.Geometry
+		if geo == nil {
+			geo = workplan.NewGeometry(cfg.Flag, w, h)
+		}
 		var err error
-		seq, err = workplan.Sequential(cfg.Flag, w, h)
+		seq, err = geo.Sequential()
 		if err != nil {
 			return nil, err
 		}

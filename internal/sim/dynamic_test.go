@@ -196,6 +196,30 @@ func TestDynamicValidation(t *testing.T) {
 	}
 }
 
+// TestDynamicGeometry: a dynamic run given its flag's geometry matches
+// one that builds its own, and a geometry of another size is refused.
+func TestDynamicGeometry(t *testing.T) {
+	f := flagspec.GreatBritain
+	cfg := func(geo *workplan.Geometry) DynamicConfig {
+		return DynamicConfig{Flag: f, Procs: dynTeam(t, 1, 1.5), Policy: PullColorAffinity,
+			Set: implement.NewSet(implement.ThickMarker, f.Colors()), Geometry: geo}
+	}
+	want, err := RunDynamic(cfg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunDynamic(cfg(workplan.NewGeometry(f, f.DefaultW, f.DefaultH)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Makespan != want.Makespan || got.Events != want.Events || !got.Grid.Equal(want.Grid) {
+		t.Error("run from a given geometry differs from its own")
+	}
+	if _, err := RunDynamic(cfg(workplan.NewGeometry(f, f.DefaultW, f.DefaultH+1))); err == nil {
+		t.Error("a geometry of another size was used")
+	}
+}
+
 func TestDynamicDeterministic(t *testing.T) {
 	a := runDynamic(t, flagspec.Mauritius, PullColorAffinity, 1, 1)
 	b := runDynamic(t, flagspec.Mauritius, PullColorAffinity, 1, 1)

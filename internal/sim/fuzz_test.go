@@ -54,9 +54,9 @@ func FuzzEngineConfig(f *testing.F) {
 	// Seed corpus mirroring the golden configurations (golden_test.go):
 	// flag, strategy, team size, raster size, kind, seed, jitter, setup,
 	// hold policy, implements per color, executor.
-	f.Add(uint8(0), uint8(2), uint8(3), uint8(0), uint8(0), uint8(1), uint64(1), uint16(0), uint32(20000), uint8(0), uint8(0), uint8(0))    // static-s4-mauritius
-	f.Add(uint8(3), uint8(2), uint8(3), uint8(0), uint8(0), uint8(3), uint64(7), uint16(150), uint32(0), uint8(0), uint8(0), uint8(0))     // static-gb-crayon-jitter
-	f.Add(uint8(0), uint8(3), uint8(2), uint8(0), uint8(0), uint8(1), uint64(3), uint16(0), uint32(0), uint8(1), uint8(1), uint8(0))       // static-eager-cyclic
+	f.Add(uint8(0), uint8(2), uint8(3), uint8(0), uint8(0), uint8(1), uint64(1), uint16(0), uint32(20000), uint8(0), uint8(0), uint8(0))     // static-s4-mauritius
+	f.Add(uint8(3), uint8(2), uint8(3), uint8(0), uint8(0), uint8(3), uint64(7), uint16(150), uint32(0), uint8(0), uint8(0), uint8(0))       // static-gb-crayon-jitter
+	f.Add(uint8(0), uint8(3), uint8(2), uint8(0), uint8(0), uint8(1), uint64(3), uint16(0), uint32(0), uint8(1), uint8(1), uint8(0))         // static-eager-cyclic
 	f.Add(uint8(0), uint8(2), uint8(3), uint8(63), uint8(31), uint8(1), uint64(5), uint16(200), uint32(10000), uint8(0), uint8(1), uint8(1)) // steal, large raster
 
 	f.Fuzz(func(t *testing.T, fi, strat, pRaw, wRaw, hRaw, kindRaw uint8,

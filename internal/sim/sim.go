@@ -206,7 +206,17 @@ func (r *Result) PipelineFill() time.Duration {
 
 // Verify checks the run's final grid against the flag's reference raster.
 func (r *Result) Verify(f *flagspec.Flag) error {
-	want, err := grid.Rasterize(f, r.Plan.W, r.Plan.H)
+	return r.verify(grid.Rasterize(f, r.Plan.W, r.Plan.H))
+}
+
+// VerifyGeometry is Verify against g's reference grid, which must be the
+// run's flag at the run's size: the same check and the same errors
+// without rasterizing the flag again.
+func (r *Result) VerifyGeometry(g *workplan.Geometry) error {
+	return r.verify(g.Reference())
+}
+
+func (r *Result) verify(want *grid.Grid, err error) error {
 	if err != nil {
 		return err
 	}

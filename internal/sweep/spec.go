@@ -29,6 +29,7 @@ import (
 	"flagsim/internal/processor"
 	"flagsim/internal/rng"
 	"flagsim/internal/sim"
+	"flagsim/internal/workplan"
 )
 
 // Exec selects the executor class a Spec runs under.
@@ -213,6 +214,12 @@ func (s Spec) run(ctx context.Context, probes []sim.Probe) (*sim.Result, error) 
 	if err != nil {
 		return nil, err
 	}
+	return s.runOn(ctx, probes, f, nil)
+}
+
+// runOn is run with the spec's flag already resolved to f and, when geo
+// is non-nil, f's geometry at the spec's size already built.
+func (s Spec) runOn(ctx context.Context, probes []sim.Probe, f *flagspec.Flag, geo *workplan.Geometry) (*sim.Result, error) {
 	per := s.PerColor
 	if per < 1 {
 		per = 1
@@ -243,7 +250,7 @@ func (s Spec) run(ctx context.Context, probes []sim.Probe) (*sim.Result, error) 
 		spec := core.RunSpec{
 			Flag: f, W: s.W, H: s.H, Scenario: scen, Team: team,
 			Set: set, Setup: s.Setup, Hold: s.Hold, Probes: probes,
-			Faults: faults,
+			Faults: faults, Geometry: geo,
 		}
 		if s.Exec == ExecSteal {
 			return core.RunStealingCtx(ctx, spec)
@@ -261,7 +268,7 @@ func (s Spec) run(ctx context.Context, probes []sim.Probe) (*sim.Result, error) 
 		return sim.RunDynamicCtx(ctx, sim.DynamicConfig{
 			Flag: f, W: s.W, H: s.H, Procs: team, Set: set,
 			Policy: s.Policy, Setup: s.Setup, Probes: probes,
-			Faults: faults,
+			Faults: faults, Geometry: geo,
 		})
 	default:
 		return nil, fmt.Errorf("sweep: unknown executor class %d", s.Exec)

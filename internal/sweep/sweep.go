@@ -154,6 +154,11 @@ type Sweeper struct {
 	// specs hold a worker slot and how many are waiting for one.
 	running atomic.Int64
 	queued  atomic.Int64
+
+	// geoBuilt counts the batch geometries built (see geometry.go) and
+	// geoLive those not yet dropped, across all batches.
+	geoBuilt atomic.Int64
+	geoLive  atomic.Int64
 }
 
 // New returns a Sweeper with an empty cache.
@@ -214,12 +219,14 @@ func (s *Sweeper) RunProbed(ctx context.Context, specs []Spec, extra ...sim.Prob
 	}
 	batch := &Result{Runs: make([]RunResult, len(specs)), Workers: s.workers}
 	var hits, misses, tierHits, tierMisses atomic.Uint64
+	share := s.newGeoShare(specs)
 	sem := make(chan struct{}, s.workers)
 	var wg sync.WaitGroup
 	for i := range specs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer share.release(i)
 			// Acquire the worker slot before the cache lookup: the entry
 			// creator therefore always holds a slot and finishes without
 			// needing another, so waiters parked on e.done cannot starve
@@ -265,7 +272,11 @@ func (s *Sweeper) RunProbed(ctx context.Context, specs []Spec, extra ...sim.Prob
 						s.tierMisses.Add(1)
 					}
 					t0 := time.Now()
-					e.res, e.err = specs[i].run(ctx, probes)
+					if f, geo, err := share.resolve(i); err != nil {
+						e.err = err
+					} else {
+						e.res, e.err = specs[i].runOn(ctx, probes, f, geo)
+					}
 					elapsed := time.Since(t0)
 					if e.err == nil && s.tier != nil {
 						// Write-through: the tier persists what the memo

@@ -40,6 +40,25 @@ func (r SweepRequest) Size() int {
 	return n
 }
 
+// CheckLimits is RunRequest.CheckLimits over the base and every value on
+// the workers and per_color axes.
+func (r SweepRequest) CheckLimits() error {
+	if err := r.Base.CheckLimits(); err != nil {
+		return err
+	}
+	for _, v := range r.Workers {
+		if err := overLimit("workers", v, MaxWorkers); err != nil {
+			return err
+		}
+	}
+	for _, v := range r.PerColor {
+		if err := overLimit("per_color", v, MaxPerColor); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Resolve enumerates the grid into one validated RunRequest per cell by
 // walking the wire-level axes, so every cell gets the same validation
 // and defaulting as a single run, and returns each cell's resolved spec

@@ -152,6 +152,39 @@ func (f *FaultRequest) Plan() (*fault.Plan, error) {
 	return p, nil
 }
 
+// Limits on what one request may make a run allocate: a run's memory
+// grows with w×h, its team with workers and its implement set with
+// per_color. The HTTP front end refuses a request over them with 400,
+// for both daemons. Spec does not check them, so a job journaled before
+// they existed still resolves.
+const (
+	MaxSide     = 1024
+	MaxWorkers  = 1024
+	MaxPerColor = 1024
+)
+
+// CheckLimits reports the first of w, h, workers and per_color that is
+// over its limit.
+func (r RunRequest) CheckLimits() error {
+	if err := overLimit("w", r.W, MaxSide); err != nil {
+		return err
+	}
+	if err := overLimit("h", r.H, MaxSide); err != nil {
+		return err
+	}
+	if err := overLimit("workers", r.Workers, MaxWorkers); err != nil {
+		return err
+	}
+	return overLimit("per_color", r.PerColor, MaxPerColor)
+}
+
+func overLimit(field string, v, limit int) error {
+	if v > limit {
+		return fmt.Errorf("%s %d is over the limit %d", field, v, limit)
+	}
+	return nil
+}
+
 // Spec resolves the request into the library's declarative run spec.
 func (r RunRequest) Spec() (sweep.Spec, error) {
 	sp := sweep.Spec{

@@ -6,7 +6,6 @@ import (
 
 	"flagsim/internal/flagspec"
 	"flagsim/internal/geom"
-	"flagsim/internal/grid"
 )
 
 // Cell orderings. Reading order (the default everywhere else) jumps from
@@ -70,30 +69,18 @@ func reorder(cells []geom.Pt, o Ordering) []geom.Pt {
 // SequentialOrdered is Sequential with an explicit cell traversal within
 // each layer.
 func SequentialOrdered(f *flagspec.Flag, w, h int, o Ordering) (*Plan, error) {
-	layerCells := grid.LayerCells(f, w, h)
-	var tasks []Task
-	counts := make([]int, len(f.Layers))
-	for li, cells := range layerCells {
-		for _, c := range reorder(cells, o) {
-			tasks = append(tasks, Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
-		}
-		counts[li] = len(cells)
-	}
-	plan := &Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       fmt.Sprintf("sequential-%s", o),
-		PerProc:        [][]Task{tasks},
-		LayerDeps:      layerDepsOf(f, w, h),
-		LayerCellCount: counts,
-		Overpainted:    true,
-	}
-	return plan, plan.Validate()
+	return NewGeometry(f, w, h).SequentialOrdered(o)
 }
 
-// layerDepsOf re-exposes the internal dependency derivation for the
-// ordering variants.
-func layerDepsOf(f *flagspec.Flag, w, h int) [][]int {
-	return layerDeps(f, w, h)
+// SequentialOrdered is the package-level SequentialOrdered over g.
+func (g *Geometry) SequentialOrdered(o Ordering) (*Plan, error) {
+	tasks := taskLists([]int{g.cellTotal()})[0]
+	for li, cells := range g.cells {
+		for _, c := range reorder(cells, o) {
+			tasks = append(tasks, Task{Cell: c, Color: g.flag.Layers[li].Color, Layer: li})
+		}
+	}
+	return g.plan(fmt.Sprintf("sequential-%s", o), [][]Task{tasks})
 }
 
 // MovementCost sums the Manhattan distances between consecutive tasks of

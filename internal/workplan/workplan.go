@@ -159,49 +159,40 @@ func first(pts []geom.Pt) geom.Pt {
 	return pts[0]
 }
 
-// layerDeps extracts the explicit dependency lists from the flag as layer
-// indices, adding implied overpaint dependencies: any layer that overlaps
-// an earlier layer must wait for it even without an explicit DependsOn.
-func layerDeps(f *flagspec.Flag, w, h int) [][]int {
-	index := make(map[string]int, len(f.Layers))
-	for i, l := range f.Layers {
-		index[l.Name] = i
+// plan assembles a full-layer (overpainted) plan over g's layer
+// structure and validates it.
+func (g *Geometry) plan(strategy string, perProc [][]Task) (*Plan, error) {
+	plan := &Plan{
+		FlagName: g.flag.Name, W: g.w, H: g.h,
+		Strategy:       strategy,
+		PerProc:        perProc,
+		LayerDeps:      g.deps,
+		LayerCellCount: g.counts,
+		Overpainted:    true,
 	}
-	overlaps := f.Overlaps(w, h)
-	out := make([][]int, len(f.Layers))
-	for i, l := range f.Layers {
-		set := make(map[int]bool)
-		for _, dep := range l.DependsOn {
-			set[index[dep]] = true
-		}
-		for _, j := range overlaps[i] {
-			set[j] = true
-		}
-		deps := make([]int, 0, len(set))
-		for d := range set {
-			deps = append(deps, d)
-		}
-		sort.Ints(deps)
-		out[i] = deps
-	}
-	return out
+	return plan, plan.Validate()
 }
 
-// cellCounts returns the cell count per layer for a full (overpainted)
-// plan.
-func cellCounts(layerCells [][]geom.Pt) []int {
-	out := make([]int, len(layerCells))
-	for i, cells := range layerCells {
-		out[i] = len(cells)
+// taskLists allocates one task list per processor at its final length,
+// leaving a processor with no tasks nil.
+func taskLists(counts []int) [][]Task {
+	perProc := make([][]Task, len(counts))
+	for pi, n := range counts {
+		if n > 0 {
+			perProc[pi] = make([]Task, 0, n)
+		}
 	}
-	return out
+	return perProc
 }
 
 // Sequential is scenario 1: one processor paints every layer in order,
 // each layer in reading order.
 func Sequential(f *flagspec.Flag, w, h int) (*Plan, error) {
-	return LayerBlocks(f, w, h, 1)
+	return NewGeometry(f, w, h).Sequential()
 }
+
+// Sequential is the package-level Sequential over g.
+func (g *Geometry) Sequential() (*Plan, error) { return g.LayerBlocks(1) }
 
 // LayerBlocks distributes whole layers over p processors in contiguous
 // blocks, balancing by cell count: with Mauritius and p=2 this is the
@@ -209,45 +200,46 @@ func Sequential(f *flagspec.Flag, w, h int) (*Plan, error) {
 // each). Each processor performs its layers in flag order, each layer in
 // reading order.
 func LayerBlocks(f *flagspec.Flag, w, h int, p int) (*Plan, error) {
+	return NewGeometry(f, w, h).LayerBlocks(p)
+}
+
+// LayerBlocks is the package-level LayerBlocks over g.
+func (g *Geometry) LayerBlocks(p int) (*Plan, error) {
+	f := g.flag
 	if p <= 0 {
 		return nil, fmt.Errorf("workplan: %d processors", p)
 	}
-	layerCells := grid.LayerCells(f, w, h)
 	if p > len(f.Layers) {
 		return nil, fmt.Errorf("workplan: layer-blocks with %d processors but %s has only %d layers",
 			p, f.Name, len(f.Layers))
 	}
 	// Contiguous balanced partition of layers by cell count (simple
 	// greedy: target = total/p, close a block when it reaches target).
-	total := 0
-	for _, cells := range layerCells {
-		total += len(cells)
-	}
-	perProc := make([][]Task, p)
+	total := g.cellTotal()
+	procOf := make([]int, len(f.Layers))
+	counts := make([]int, p)
 	proc, acc := 0, 0
 	remainingLayers := len(f.Layers)
-	for li, cells := range layerCells {
+	for li, n := range g.counts {
 		remainingProcs := p - proc - 1
 		// Never leave more processors than layers remaining.
 		mustClose := remainingLayers-1 < remainingProcs+1 && proc < p-1
-		for _, c := range cells {
-			perProc[proc] = append(perProc[proc], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
-		}
-		acc += len(cells)
+		procOf[li] = proc
+		counts[proc] += n
+		acc += n
 		remainingLayers--
 		if proc < p-1 && (mustClose || acc >= (total*(proc+1))/p) {
 			proc++
 		}
 	}
-	plan := &Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       fmt.Sprintf("layer-blocks(p=%d)", p),
-		PerProc:        perProc,
-		LayerDeps:      layerDeps(f, w, h),
-		LayerCellCount: cellCounts(layerCells),
-		Overpainted:    true,
+	perProc := taskLists(counts)
+	for li, cells := range g.cells {
+		pi := procOf[li]
+		for _, c := range cells {
+			perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
+		}
 	}
-	return plan, plan.Validate()
+	return g.plan(fmt.Sprintf("layer-blocks(p=%d)", p), perProc)
 }
 
 // VerticalSlices is scenario 4: the canvas is split into p vertical
@@ -257,28 +249,44 @@ func LayerBlocks(f *flagspec.Flag, w, h int, p int) (*Plan, error) {
 // i starts at layer (i*len(layers)/p) and wraps — the pipelined rotation
 // of §III-C under which the implements circulate.
 func VerticalSlices(f *flagspec.Flag, w, h, p int, rotate bool) (*Plan, error) {
+	return NewGeometry(f, w, h).VerticalSlices(p, rotate)
+}
+
+// VerticalSlices is the package-level VerticalSlices over g.
+func (g *Geometry) VerticalSlices(p int, rotate bool) (*Plan, error) {
+	f := g.flag
 	if p <= 0 {
 		return nil, fmt.Errorf("workplan: %d processors", p)
 	}
-	if p > w {
-		return nil, fmt.Errorf("workplan: %d slices across width %d", p, w)
+	if p > g.w {
+		return nil, fmt.Errorf("workplan: %d slices across width %d", p, g.w)
 	}
-	layerCells := grid.LayerCells(f, w, h)
-	slices := geom.R(0, 0, w, h).SplitCols(p)
-	perProc := make([][]Task, p)
-	nl := len(f.Layers)
-	for pi, slice := range slices {
-		order := make([]int, nl)
-		for k := 0; k < nl; k++ {
-			if rotate {
-				order[k] = (pi*nl/p + k) % nl
-			} else {
-				order[k] = k
-			}
+	if rotate && hasInterLayerDeps(g.deps) {
+		return nil, fmt.Errorf("workplan: pipelined rotation is only valid for flags with independent layers; %s has layer dependencies", f.Name)
+	}
+	// Slices span the full height, so a cell's slice is its column's.
+	sliceOf := make([]int, g.w)
+	for pi, slice := range geom.R(0, 0, g.w, g.h).SplitCols(p) {
+		for x := slice.Min.X; x < slice.Max.X; x++ {
+			sliceOf[x] = pi
 		}
-		for _, li := range order {
-			for _, c := range layerCells[li] {
-				if c.In(slice) {
+	}
+	counts := make([]int, p)
+	for _, cells := range g.cells {
+		for _, c := range cells {
+			counts[sliceOf[c.X]]++
+		}
+	}
+	perProc := taskLists(counts)
+	nl := len(f.Layers)
+	for pi := range perProc {
+		for k := 0; k < nl; k++ {
+			li := k
+			if rotate {
+				li = (pi*nl/p + k) % nl
+			}
+			for _, c := range g.cells[li] {
+				if sliceOf[c.X] == pi {
 					perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
 				}
 			}
@@ -288,18 +296,7 @@ func VerticalSlices(f *flagspec.Flag, w, h, p int, rotate bool) (*Plan, error) {
 	if rotate {
 		name = "vertical-slices-pipelined"
 	}
-	plan := &Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       fmt.Sprintf("%s(p=%d)", name, p),
-		PerProc:        perProc,
-		LayerDeps:      layerDeps(f, w, h),
-		LayerCellCount: cellCounts(layerCells),
-		Overpainted:    true,
-	}
-	if rotate && hasInterLayerDeps(plan.LayerDeps) {
-		return nil, fmt.Errorf("workplan: pipelined rotation is only valid for flags with independent layers; %s has layer dependencies", f.Name)
-	}
-	return plan, plan.Validate()
+	return g.plan(fmt.Sprintf("%s(p=%d)", name, p), perProc)
 }
 
 func hasInterLayerDeps(deps [][]int) bool {
@@ -315,76 +312,90 @@ func hasInterLayerDeps(deps [][]int) bool {
 // to processors round-robin; each processor paints its blocks layer by
 // layer. gx*gy must be >= p.
 func Blocks(f *flagspec.Flag, w, h, p, gx, gy int) (*Plan, error) {
+	return NewGeometry(f, w, h).Blocks(p, gx, gy)
+}
+
+// Blocks is the package-level Blocks over g.
+func (g *Geometry) Blocks(p, gx, gy int) (*Plan, error) {
+	f := g.flag
 	if p <= 0 || gx <= 0 || gy <= 0 {
 		return nil, fmt.Errorf("workplan: bad block parameters p=%d gx=%d gy=%d", p, gx, gy)
 	}
 	if gx*gy < p {
 		return nil, fmt.Errorf("workplan: %d blocks for %d processors", gx*gy, p)
 	}
-	layerCells := grid.LayerCells(f, w, h)
-	cols := geom.R(0, 0, w, h).SplitCols(gx)
-	var blocks []geom.Rect
-	for _, col := range cols {
-		blocks = append(blocks, col.SplitRows(gy)...)
+	// Blocks are numbered column-major (each column band split into gy
+	// row bands), so cell c lies in block colOf[c.X]*gy + rowOf[c.Y].
+	// A non-positive size has no cells, and no columns or rows to map.
+	bounds := geom.R(0, 0, g.w, g.h)
+	colOf, rowOf := make([]int, max(g.w, 0)), make([]int, max(g.h, 0))
+	for ci, col := range bounds.SplitCols(gx) {
+		for x := max(col.Min.X, 0); x < col.Max.X; x++ {
+			colOf[x] = ci
+		}
 	}
-	perProc := make([][]Task, p)
-	for bi, blk := range blocks {
-		pi := bi % p
-		for li := range f.Layers {
-			for _, c := range layerCells[li] {
-				if c.In(blk) {
+	for ri, row := range bounds.SplitRows(gy) {
+		for y := max(row.Min.Y, 0); y < row.Max.Y; y++ {
+			rowOf[y] = ri
+		}
+	}
+	blockOf := func(c geom.Pt) int { return colOf[c.X]*gy + rowOf[c.Y] }
+	counts := make([]int, p)
+	for _, cells := range g.cells {
+		for _, c := range cells {
+			counts[blockOf(c)%p]++
+		}
+	}
+	// Each processor paints layer by layer so dependencies are
+	// satisfiable, and within a layer its blocks in order.
+	perProc := taskLists(counts)
+	for li, cells := range g.cells {
+		for bi := 0; bi < gx*gy; bi++ {
+			pi := bi % p
+			for _, c := range cells {
+				if blockOf(c) == bi {
 					perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
 				}
 			}
 		}
 	}
-	// Re-sort each processor's tasks by layer so dependencies are
-	// satisfiable, preserving block order within a layer.
-	for pi := range perProc {
-		sort.SliceStable(perProc[pi], func(a, b int) bool {
-			return perProc[pi][a].Layer < perProc[pi][b].Layer
-		})
-	}
-	plan := &Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       fmt.Sprintf("blocks(p=%d,%dx%d)", p, gx, gy),
-		PerProc:        perProc,
-		LayerDeps:      layerDeps(f, w, h),
-		LayerCellCount: cellCounts(layerCells),
-		Overpainted:    true,
-	}
-	return plan, plan.Validate()
+	return g.plan(fmt.Sprintf("blocks(p=%d,%dx%d)", p, gx, gy), perProc)
 }
 
 // Cyclic deals cells of each layer to processors round-robin in reading
 // order — fine-grained interleaving with perfect load balance and maximal
 // implement thrash, the canonical "cyclic distribution" of PDC curricula.
 func Cyclic(f *flagspec.Flag, w, h, p int) (*Plan, error) {
+	return NewGeometry(f, w, h).Cyclic(p)
+}
+
+// Cyclic is the package-level Cyclic over g.
+func (g *Geometry) Cyclic(p int) (*Plan, error) {
+	f := g.flag
 	if p <= 0 {
 		return nil, fmt.Errorf("workplan: %d processors", p)
 	}
-	layerCells := grid.LayerCells(f, w, h)
-	perProc := make([][]Task, p)
+	total := g.cellTotal()
+	counts := make([]int, p)
+	for pi := range counts {
+		counts[pi] = total / p
+		if pi < total%p {
+			counts[pi]++
+		}
+	}
+	perProc := taskLists(counts)
 	// One continuous deal across all layers: restarting at processor 0
 	// per layer would hand the low-index processors an extra cell per
 	// layer and compound the imbalance.
 	deal := 0
-	for li := range f.Layers {
-		for _, c := range layerCells[li] {
+	for li, cells := range g.cells {
+		for _, c := range cells {
 			pi := deal % p
 			deal++
 			perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
 		}
 	}
-	plan := &Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       fmt.Sprintf("cyclic(p=%d)", p),
-		PerProc:        perProc,
-		LayerDeps:      layerDeps(f, w, h),
-		LayerCellCount: cellCounts(layerCells),
-		Overpainted:    true,
-	}
-	return plan, plan.Validate()
+	return g.plan(fmt.Sprintf("cyclic(p=%d)", p), perProc)
 }
 
 // VisibleOnly rewrites a flag into a single-pass plan that paints only the
