@@ -427,14 +427,17 @@ type MetricsRegistry = obs.Registry
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// EngineMetricsProbe bridges engine events onto a MetricsRegistry:
+// EngineMetricsProbe publishes completed runs onto a MetricsRegistry:
 // cells painted, implement traffic, blocks by kind/color, spans by
-// kind, and run-level totals. Goroutine-safe; install one process-wide
-// (e.g. in SweepOptions.Probes) to observe every pooled run.
+// kind, instrumented runs and run-level totals, all read from each
+// Result. It is a ResultProbe, not a Probe to install: hand it results
+// with ObserveResult, or set it as SweepOptions.Observer to publish
+// every run a sweep pool computes while the engine stays on its fast
+// path. Goroutine-safe; one serves a whole process.
 type EngineMetricsProbe = obs.MetricsProbe
 
 // NewEngineMetricsProbe registers the engine families on reg and
-// returns the probe that feeds them.
+// returns the publisher that feeds them.
 func NewEngineMetricsProbe(reg *MetricsRegistry) *EngineMetricsProbe {
 	return obs.NewMetricsProbe(reg)
 }
@@ -467,8 +470,10 @@ const (
 	SweepDynamic = sweep.ExecDynamic
 )
 
-// SweepOptions configures the sweep pool (worker bound; default
-// runtime.GOMAXPROCS).
+// SweepOptions configures the sweep pool: the worker bound (default
+// runtime.GOMAXPROCS), event probes installed on every compute, an
+// Observer handed every computed Result (an EngineMetricsProbe, say),
+// and an optional second cache tier.
 type SweepOptions = sweep.Options
 
 // SweepResult is a completed batch: per-run outcomes in input order plus

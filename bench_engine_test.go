@@ -147,11 +147,12 @@ func BenchmarkEngineStaticNilHooks(b *testing.B) {
 	b.ReportMetric(float64(events), "events/run")
 }
 
-// BenchmarkEngineStaticProbed is BenchmarkEngineStatic with an engine
-// metrics probe installed — the per-event observability tax every pooled
-// compute pays once a server wires MetricsProbe into the sweep pool.
-// Installing any probe selects the instrumented opcode bodies, so the
-// delta against BenchmarkEngineStatic is the full hook-path cost.
+// BenchmarkEngineStaticProbed is what a pooled flagsimd compute pays for
+// its engine metrics: the warm-arena static run of BenchmarkEngineStatic
+// plus publishing its Result through the metrics probe, as the sweep
+// pool's Observer does. The run installs no probe, so it keeps the fast
+// opcodes; the delta against BenchmarkEngineStatic is the publishing
+// cost, and 0 allocs/op pins that publishing allocates nothing.
 func BenchmarkEngineStaticProbed(b *testing.B) {
 	f := flagspec.Mauritius
 	plan := benchEnginePlan(b)
@@ -165,11 +166,11 @@ func BenchmarkEngineStaticProbed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(sim.Config{
 			Plan: plan, Procs: procs, Set: set, Arena: arena,
-			Probes: []sim.Probe{probe},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
+		probe.ObserveResult(res)
 		events = res.Events
 	}
 	b.ReportMetric(float64(events), "events/run")

@@ -1,12 +1,16 @@
 package flagsim_test
 
 // E35 companion benchmarks — the serving hot path, gated by benchguard.
-// Both run against a real HTTP listener with the sweep cache warm, so
-// they time what a healthy production request costs (routing, admission,
-// JSON, cache hit) rather than the simulation itself: a regression here
-// is serving overhead, which the engine benchmarks would never see.
+// The warm two run against a real HTTP listener with the sweep cache
+// warm, so they time what a healthy production request costs (routing,
+// admission, JSON, cache hit) rather than the simulation itself: a
+// regression there is serving overhead, which the engine benchmarks
+// would never see. BenchmarkServerSweepCold times the miss path through
+// the same server: every run is computed and published to /metrics.
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -56,4 +60,42 @@ func BenchmarkServerSweepWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchPost(b, ts.URL+"/v1/sweep", body)
 	}
+}
+
+// BenchmarkServerSweepCold times generated-cold's request shape: one op
+// is one /v1/sweep of 8 never-seen gen:v1 flags under all three
+// executors, 24 computed runs through the server's pool, reported per
+// run. The flags of op i are gen:v1:<op>:0..7, so no op hits the memo.
+func BenchmarkServerSweepCold(b *testing.B) {
+	ts := benchServer(b)
+	body := func(op int) string {
+		flags := make([]string, 8)
+		for v := range flags {
+			flags[v] = fmt.Sprintf("%q", flagsim.GenFlagName(uint64(op), uint64(v)))
+		}
+		return `{"base":{"scenario":2,"workers":2,"seed":1},"execs":["static","steal","dynamic"],"flags":[` +
+			strings.Join(flags, ",") + `]}`
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body(0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out struct {
+		Count  int `json:"count"`
+		Misses int `json:"cache_misses"`
+		Failed int `json:"failed"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if out.Count != 24 || out.Misses != 24 || out.Failed != 0 {
+		b.Fatalf("cold sweep: %d runs, %d misses, %d failed; want 24 computed", out.Count, out.Misses, out.Failed)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, ts.URL+"/v1/sweep", body(i+1))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*24), "ns/run")
 }

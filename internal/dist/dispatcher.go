@@ -463,14 +463,18 @@ var errNoResult = errors.New("dist: completed job has no stored result")
 
 // Run is the fleet Backend's single run: served from the result store
 // when warm, otherwise submitted to the fleet under the request's run
-// ID.
+// ID. It counts tier hits and misses as Sweep does: a warm run is one
+// hit, a run the fleet computed is neither, and a completed job with no
+// stored result is one miss.
 func (d *Dispatcher) Run(ctx context.Context, call server.RunCall) (server.Reply, error) {
 	if call.Trace {
 		return server.Reply{}, &server.StatusError{Code: http.StatusBadRequest, Err: errTraceLocal}
 	}
 	job := Job{KeyHex: hex.EncodeToString(call.Key[:]), Req: call.Req}
-	raw, warm := d.store.Get(call.Key)
-	if !warm {
+	raw, warm := d.store.read(call.Key)
+	if warm {
+		d.store.served(1, 0)
+	} else {
 		if _, _, err := d.submit(ctx, []Job{job}, call.RunID); err != nil {
 			return server.Reply{}, err
 		}
@@ -478,7 +482,8 @@ func (d *Dispatcher) Run(ctx context.Context, call server.RunCall) (server.Reply
 			return server.Reply{}, &server.StatusError{Code: http.StatusUnprocessableEntity, Err: errors.New(errMsg)}
 		}
 		var ok bool
-		if raw, ok = d.store.Get(call.Key); !ok {
+		if raw, ok = d.store.read(call.Key); !ok {
+			d.store.served(0, 1)
 			return server.Reply{}, errNoResult
 		}
 	}

@@ -3,9 +3,12 @@ package dist
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -90,6 +93,45 @@ func TestStorePutCountsNoLookup(t *testing.T) {
 	}
 	if st := store.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("a duplicate Put counted a lookup: %+v", st)
+	}
+}
+
+// TestRunCountsTierHitsLikeSweep: a cold /v1/run the fleet computes
+// counts neither a tier hit nor a miss, as a computed sweep row does,
+// and a warm rerun counts exactly one hit.
+func TestRunCountsTierHitsLikeSweep(t *testing.T) {
+	f := startFleet(t, t.TempDir())
+	stopWorkers := startWorkers(t, f, 1, nil)
+	defer f.stop(t)
+	defer stopWorkers()
+	post := func() RunFleetResponse {
+		t.Helper()
+		resp, err := http.Post(f.srv.URL+"/v1/run", "application/json",
+			strings.NewReader(`{"flag":"mauritius","scenario":2,"seed":11}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run status %d", resp.StatusCode)
+		}
+		var out RunFleetResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if out := post(); out.Warm {
+		t.Fatal("the first run was served warm")
+	}
+	if st := f.d.Store().Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("after one cold run: %+v, want 0 hits, 0 misses", st)
+	}
+	if out := post(); !out.Warm {
+		t.Fatal("the rerun was not served warm")
+	}
+	if st := f.d.Store().Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("after a warm rerun: %+v, want 1 hit, 0 misses", st)
 	}
 }
 

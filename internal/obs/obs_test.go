@@ -9,12 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"flagsim/internal/implement"
 	"flagsim/internal/palette"
 	"flagsim/internal/sim"
-	"flagsim/internal/workplan"
 )
 
 func TestRunIDsAreUniqueAndWellFormed(t *testing.T) {
@@ -179,23 +176,20 @@ func TestRunRingConcurrent(t *testing.T) {
 	}
 }
 
-// TestMetricsProbeFamilies drives the probe's callbacks directly and
-// checks every engine family renders with the observed values.
+// TestMetricsProbeFamilies publishes one run's Result and checks every
+// engine family renders with its values, and that a blocks series no
+// run blocked on is not created.
 func TestMetricsProbeFamilies(t *testing.T) {
 	reg := NewRegistry()
 	p := NewMetricsProbe(reg)
-	im := &implement.Implement{}
-	p.Grant(0, im, time.Second)
-	p.Grant(1, im, time.Second)
-	p.Release(0, im, 2*time.Second)
-	p.Block(2, sim.SpanWaitImplement, palette.Red, time.Second)
-	p.Complete(0, workplan.Task{}, time.Second)
-	p.Complete(0, workplan.Task{}, 2*time.Second)
-	p.Complete(1, workplan.Task{}, 3*time.Second)
-	p.ProcDone(0, 4*time.Second)
-	p.Span(sim.Span{Kind: sim.SpanPaint})
-	p.Span(sim.Span{Kind: sim.SpanPickup})
-	p.ObserveResult(&sim.Result{Steals: 2, Migrated: 7, Events: 40, MaxEventQueue: 5})
+	var c sim.Counts
+	c.Grants, c.Releases, c.Retired = 2, 1, 1
+	c.ImplementBlocks[palette.Red] = 1
+	c.PaintSpans, c.PickupSpans = 1, 1
+	p.ObserveResult(&sim.Result{
+		Procs:  []sim.ProcStats{{Cells: 2}, {Cells: 1}},
+		Steals: 2, Migrated: 7, Events: 40, MaxEventQueue: 5, Counts: c,
+	})
 
 	var b strings.Builder
 	reg.WriteText(&b)
@@ -213,14 +207,18 @@ func TestMetricsProbeFamilies(t *testing.T) {
 		"flagsim_engine_cells_migrated_total 7",
 		"flagsim_engine_events_total 40",
 		"flagsim_engine_event_queue_high_water 5",
+		"flagsim_engine_instrumented_runs_total 0",
 	} {
 		if !strings.Contains(out, line+"\n") {
 			t.Errorf("missing %q in exposition:\n%s", line, out)
 		}
 	}
+	if strings.Contains(out, `flagsim_engine_blocks_total{kind="wait-layer"`) {
+		t.Errorf("a blocks series with a zero count was created:\n%s", out)
+	}
 }
 
-// TestMetricsProbeConcurrent hammers one probe from many goroutines —
+// TestMetricsProbeConcurrent publishes from many goroutines at once,
 // the sweep-pool sharing shape; meaningful under -race.
 func TestMetricsProbeConcurrent(t *testing.T) {
 	reg := NewRegistry()
@@ -230,13 +228,16 @@ func TestMetricsProbeConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			im := &implement.Implement{}
 			for i := 0; i < 500; i++ {
-				p.Grant(0, im, 0)
-				p.Complete(0, workplan.Task{}, 0)
-				p.Span(sim.Span{Kind: sim.SpanPaint})
-				p.Block(0, sim.SpanWaitLayer, palette.Blue, 0)
-				p.ObserveResult(&sim.Result{Events: 1, MaxEventQueue: i})
+				var c sim.Counts
+				c.Grants, c.LayerBlocks = 1, 1
+				c.ImplementBlocks[palette.Blue] = 1
+				c.PaintSpans = 1
+				c.Instrumented = i%2 == 0
+				p.ObserveResult(&sim.Result{
+					Procs:  []sim.ProcStats{{Cells: 1}},
+					Events: 1, MaxEventQueue: i, Counts: c,
+				})
 			}
 		}()
 	}
@@ -249,6 +250,11 @@ func TestMetricsProbeConcurrent(t *testing.T) {
 		"flagsim_engine_runs_total 4000",
 		"flagsim_engine_events_total 4000",
 		"flagsim_engine_event_queue_high_water 499",
+		"flagsim_engine_grants_total 4000",
+		`flagsim_engine_blocks_total{kind="wait-layer",color="none"} 4000`,
+		`flagsim_engine_blocks_total{kind="wait-implement",color="blue"} 4000`,
+		`flagsim_engine_spans_total{kind="paint"} 4000`,
+		"flagsim_engine_instrumented_runs_total 2000",
 	} {
 		if !strings.Contains(out, line+"\n") {
 			t.Errorf("missing %q", line)

@@ -1,46 +1,43 @@
 package obs
 
 import (
-	"time"
+	"sync/atomic"
 
-	"flagsim/internal/implement"
 	"flagsim/internal/palette"
 	"flagsim/internal/sim"
-	"flagsim/internal/workplan"
 )
 
-// spanKinds enumerates the engine's span vocabulary so per-kind counters
-// can be resolved once at construction and incremented lock-free on the
-// event path.
-var spanKinds = []sim.SpanKind{
-	sim.SpanPaint, sim.SpanWaitImplement, sim.SpanWaitLayer,
-	sim.SpanPickup, sim.SpanPutDown, sim.SpanRepair, sim.SpanSetup,
-	sim.SpanStall,
-}
-
-// MetricsProbe bridges the engine's Probe vocabulary onto a Registry:
-// cells painted, implement grants/releases, blocks by kind and color,
-// spans by kind, and — via ObserveResult — per-run totals the probe
-// callbacks cannot see (steals, migrated cells, event counts, the
-// kernel's event-queue high-water mark).
+// MetricsProbe publishes completed engine runs onto a Registry: cells
+// painted, implement grants/releases, processors retired, blocks by
+// kind and color, spans by kind, steals, migrated cells, event counts,
+// the kernel's event-queue high-water mark and the fault tallies, all
+// read from the run's Result (sim.Result.Counts holds the engine's own
+// event tally). It installs nothing on the engine, so the runs it
+// publishes keep the engine's fast path; its owner hands it each
+// computed Result through ObserveResult, as sweep.Options.Observer does.
 //
-// One MetricsProbe instance is meant to be installed process-wide (e.g.
-// on a Sweeper's worker pool), where it observes many engine runs
-// concurrently: every counter is an atomic, so the probe is goroutine-
-// safe by construction.
+// One MetricsProbe instance is meant to serve a whole process, where
+// it publishes many runs concurrently: every counter is an atomic, so
+// the probe is goroutine-safe by construction.
 type MetricsProbe struct {
 	cells    *Counter
 	grants   *Counter
 	releases *Counter
 	retired  *Counter
 	blocks   *CounterVec
-	spans    []*Counter // indexed by SpanKind
+	// layerBlocks and implBlocks cache the blocks_total series, resolved
+	// the first time a run has a non-zero count for them, so a scrape
+	// shows only series some run actually blocked on.
+	layerBlocks atomic.Pointer[Counter]
+	implBlocks  [palette.NColors]atomic.Pointer[Counter]
+	spans       [sim.NumSpanKinds]*Counter
 
-	runs    *Counter
-	steals  *Counter
-	migrate *Counter
-	events  *Counter
-	queueHW *Gauge
+	runs         *Counter
+	instrumented *Counter
+	steals       *Counter
+	migrate      *Counter
+	events       *Counter
+	queueHW      *Gauge
 
 	// flagsim_faults_* families, fed from Result.Faults.
 	faultRuns     *Counter
@@ -52,10 +49,7 @@ type MetricsProbe struct {
 	lostPaints    *Counter
 }
 
-var (
-	_ sim.Probe       = (*MetricsProbe)(nil)
-	_ sim.ResultProbe = (*MetricsProbe)(nil)
-)
+var _ sim.ResultProbe = (*MetricsProbe)(nil)
 
 // NewMetricsProbe registers the engine metric families on reg and returns
 // the probe that feeds them.
@@ -81,53 +75,72 @@ func NewMetricsProbe(reg *Registry) *MetricsProbe {
 		lostPaints:    reg.Counter("flagsim_faults_lost_paints_total", "Grid writes dropped by the unsound self-test injector."),
 	}
 	spanVec := reg.CounterVec("flagsim_engine_spans_total", "Trace spans materialized by kind.", "kind")
-	p.spans = make([]*Counter, len(spanKinds))
-	for _, k := range spanKinds {
-		p.spans[int(k)] = spanVec.With(k.String())
+	for k := range p.spans {
+		p.spans[k] = spanVec.With(sim.SpanKind(k).String())
 	}
+	p.instrumented = reg.Counter("flagsim_engine_instrumented_runs_total",
+		"Completed engine runs that took the instrumented opcodes (traced, probed or fault-injected).")
 	return p
 }
 
-// Grant implements sim.Probe.
-func (p *MetricsProbe) Grant(int, *implement.Implement, time.Duration) { p.grants.Inc() }
-
-// Release implements sim.Probe.
-func (p *MetricsProbe) Release(int, *implement.Implement, time.Duration) { p.releases.Inc() }
-
-// Block implements sim.Probe.
-func (p *MetricsProbe) Block(_ int, kind sim.SpanKind, color palette.Color, _ time.Duration) {
-	p.blocks.With(kind.String(), color.String()).Inc()
-}
-
-// Complete implements sim.Probe.
-func (p *MetricsProbe) Complete(int, workplan.Task, time.Duration) { p.cells.Inc() }
-
-// ProcDone implements sim.Probe.
-func (p *MetricsProbe) ProcDone(int, time.Duration) { p.retired.Inc() }
-
-// Span implements sim.Probe.
-func (p *MetricsProbe) Span(sp sim.Span) {
-	if int(sp.Kind) < len(p.spans) {
-		p.spans[int(sp.Kind)].Inc()
-	}
-}
-
-// ObserveResult implements sim.ResultProbe: executors call it once per
-// completed run with the built Result, feeding the run-level families the
-// event callbacks cannot see.
+// ObserveResult implements sim.ResultProbe: it publishes one completed
+// run, one atomic add per non-zero count.
 func (p *MetricsProbe) ObserveResult(res *sim.Result) {
+	c := &res.Counts
 	p.runs.Inc()
-	p.steals.Add(uint64(res.Steals))
-	p.migrate.Add(uint64(res.Migrated))
-	p.events.Add(res.Events)
+	if c.Instrumented {
+		p.instrumented.Inc()
+	}
+	cells := 0
+	for i := range res.Procs {
+		cells += res.Procs[i].Cells
+	}
+	add(p.cells, cells)
+	add(p.grants, int(c.Grants))
+	add(p.releases, int(c.Releases))
+	add(p.retired, int(c.Retired))
+	if c.LayerBlocks > 0 {
+		p.blockSeries(&p.layerBlocks, sim.SpanWaitLayer, palette.None).Add(uint64(c.LayerBlocks))
+	}
+	for col, n := range c.ImplementBlocks {
+		if n > 0 {
+			p.blockSeries(&p.implBlocks[col], sim.SpanWaitImplement, palette.Color(col)).Add(uint64(n))
+		}
+	}
+	for k, n := range res.SpanCounts() {
+		add(p.spans[k], int(n))
+	}
+	add(p.steals, res.Steals)
+	add(p.migrate, res.Migrated)
+	if res.Events > 0 {
+		p.events.Add(res.Events)
+	}
 	p.queueHW.SetMax(int64(res.MaxEventQueue))
 	if f := res.Faults; f.Injected {
 		p.faultRuns.Inc()
-		p.stalls.Add(uint64(f.Stalls))
-		p.degraded.Add(uint64(f.DegradedCells))
-		p.forcedBreaks.Add(uint64(f.ForcedBreaks))
-		p.handoffDelays.Add(uint64(f.HandoffDelays))
-		p.repaints.Add(uint64(f.Repaints))
-		p.lostPaints.Add(uint64(f.LostPaints))
+		add(p.stalls, f.Stalls)
+		add(p.degraded, f.DegradedCells)
+		add(p.forcedBreaks, f.ForcedBreaks)
+		add(p.handoffDelays, f.HandoffDelays)
+		add(p.repaints, f.Repaints)
+		add(p.lostPaints, f.LostPaints)
+	}
+}
+
+// blockSeries returns the blocks_total series cached in slot, resolving
+// it on first use. Concurrent first uses resolve the same series.
+func (p *MetricsProbe) blockSeries(slot *atomic.Pointer[Counter], kind sim.SpanKind, color palette.Color) *Counter {
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	c := p.blocks.With(kind.String(), color.String())
+	slot.Store(c)
+	return c
+}
+
+// add adds n to c when n is positive.
+func add(c *Counter, n int) {
+	if n > 0 {
+		c.Add(uint64(n))
 	}
 }

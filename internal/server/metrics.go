@@ -10,8 +10,9 @@ package server
 //     latency histograms (front end); admission gate occupancy,
 //     sweep-cache and worker-pool health (local backend);
 //   - engine state (flagsim_engine_*): cells painted, implement traffic,
-//     blocks by kind/color, steals — fed by the obs.MetricsProbe the
-//     Server installs on its sweep pool;
+//     blocks by kind/color, steals, instrumented runs — published from
+//     each computed Result by the obs.MetricsProbe that is the Server's
+//     sweep-pool Observer;
 //   - runtime state (go_*): goroutines, heap, GC — obs.RegisterGoRuntime.
 //
 // Concurrency: counters and histogram buckets are lock-free atomics on

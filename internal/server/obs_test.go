@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"flagsim/internal/obs"
+	"flagsim/internal/wire"
 )
 
 // scrape fetches /metrics and returns the exposition text.
@@ -94,6 +95,83 @@ func TestMetricsCoverWholeStack(t *testing.T) {
 	}
 	if v := metricValue(t, out, "flagsim_engine_runs_total"); v != 1 {
 		t.Errorf("cache hit reached the engine probe: runs = %g", v)
+	}
+}
+
+// TestEngineMetricsInstrumentedRuns pins which computes leave the
+// engine's fast path: untraced, fault-free sweeps never do (the pool
+// publishes their Results and installs nothing), while a cold /v1/run
+// (its span collector), a ?trace=chrome run and every faulted compute
+// do, and flagsim_engine_instrumented_runs_total counts exactly those.
+func TestEngineMetricsInstrumentedRuns(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	sweeps := []string{
+		`{"base":{"scenario":2,"seed":1},"flags":["gen:v1:5:0","gen:v1:5:1","gen:v1:5:2","gen:v1:5:3"],"execs":["static","steal","dynamic"]}`,
+		`{"base":{"scenario":4,"seed":2},"flags":["gen:v1:5:4","gen:v1:5:5"],"execs":["static","steal","dynamic"],"seeds":[2,3]}`,
+	}
+	computed := 0
+	for _, body := range sweeps {
+		resp, raw := postJSON(t, ts.URL+"/v1/sweep", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep status %d: %s", resp.StatusCode, raw)
+		}
+		var out SweepResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Failed != 0 || out.Misses == 0 {
+			t.Fatalf("sweep: %d failed, %d misses", out.Failed, out.Misses)
+		}
+		computed += out.Misses
+	}
+	out := scrape(t, ts.URL)
+	if v := metricValue(t, out, "flagsim_engine_runs_total"); v != float64(computed) {
+		t.Errorf("engine runs = %g, want %d", v, computed)
+	}
+	if v := metricValue(t, out, "flagsim_engine_instrumented_runs_total"); v != 0 {
+		t.Errorf("untraced, fault-free sweeps ran %g instrumented computes, want 0", v)
+	}
+	// The memo holds the pool's own Results: each one ran fast.
+	for _, body := range sweeps {
+		var req wire.SweepRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		specs, err := req.Specs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range s.Sweeper().Run(nil, specs).Runs {
+			if !run.CacheHit || run.Result.Counts.Instrumented {
+				t.Errorf("%s: cache hit %v, instrumented %v; want a memoized fast-path result",
+					run.Spec.Label(), run.CacheHit, run.Result.Counts.Instrumented)
+			}
+		}
+	}
+
+	instrumented := 0
+	for _, call := range []struct {
+		path, body string
+		computes   int
+	}{
+		{"/v1/run", `{"flag":"mauritius","scenario":4,"seed":1}`, 1},
+		{"/v1/run", `{"flag":"mauritius","scenario":4,"seed":1}`, 0}, // warm
+		{"/v1/run?trace=chrome", `{"flag":"mauritius","scenario":4,"seed":1}`, 1},
+		{"/v1/sweep", `{"base":{"flag":"jordan","scenario":3,"faults":{"preset":"light","seed":3}},"seeds":[1,2,3]}`, 3},
+	} {
+		resp, raw := postJSON(t, ts.URL+call.path, call.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status %d: %s", call.path, resp.StatusCode, raw)
+		}
+		computed += call.computes
+		instrumented += call.computes
+		out = scrape(t, ts.URL)
+		if v := metricValue(t, out, "flagsim_engine_instrumented_runs_total"); v != float64(instrumented) {
+			t.Errorf("after %s %s: instrumented runs = %g, want %d", call.path, call.body, v, instrumented)
+		}
+		if v := metricValue(t, out, "flagsim_engine_runs_total"); v != float64(computed) {
+			t.Errorf("after %s %s: engine runs = %g, want %d", call.path, call.body, v, computed)
+		}
 	}
 }
 

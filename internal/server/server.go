@@ -21,10 +21,9 @@
 // Observability: every request gets a run ID (a well-formed client
 // X-Run-ID is adopted, otherwise one is minted; echoed in the X-Run-ID
 // header, pprof labels, structured log line, run-ring key); the /metrics
-// registry is
-// the shared internal/obs one, with an engine MetricsProbe installed on
-// the sweep pool so a scrape reflects the simulator itself, not just the
-// HTTP layer.
+// registry is the shared internal/obs one, and an engine MetricsProbe
+// publishes every run the sweep pool computes (the pool's Observer), so
+// a scrape reflects the simulator itself, not just the HTTP layer.
 //
 // Cancellation contract: every run executes under the request's context
 // (optionally bounded by RequestTimeout), threaded through the sweep
@@ -152,8 +151,8 @@ type Server struct {
 	*Frontend
 	sweeper *sweep.Sweeper
 	gate    *gate
-	// engine feeds the flagsim_engine_* families; installed on the sweep
-	// pool so every compute reports to the registry.
+	// engine feeds the flagsim_engine_* families: the sweep pool's
+	// Observer, so every compute it runs is published from its Result.
 	engine *obs.MetricsProbe
 
 	// testHookAdmitted, when set, runs after a simulation request clears
@@ -164,8 +163,9 @@ type Server struct {
 
 // New assembles a Server. The sweep pool and its memo cache live as
 // long as the Server, so repeated requests are served warm, and the
-// engine metrics probe is installed on the pool so every compute feeds
-// the shared registry.
+// pool hands every result it computes to the engine metrics probe, so
+// every compute feeds the shared registry without leaving the engine's
+// fast path.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
@@ -173,8 +173,8 @@ func New(cfg Config) *Server {
 	s.Frontend = NewFrontend("flagsimd", s, reg, cfg)
 	s.registerLocal(reg)
 	s.sweeper = sweep.New(sweep.Options{
-		Workers: cfg.SweepWorkers,
-		Probes:  []sim.Probe{s.engine},
+		Workers:  cfg.SweepWorkers,
+		Observer: s.engine,
 	})
 	s.HandleFunc("/v1/flags", s.instrument("/v1/flags", Only(http.MethodGet, s.handleFlags)))
 	s.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
@@ -227,17 +227,21 @@ func (s *Server) Run(ctx context.Context, call RunCall) (Reply, error) {
 		return Reply{}, err
 	}
 	defer s.gate.release()
-	// A per-request span collector rides along with the pool's probes:
-	// if this request is the one that computes (cache miss), its spans
-	// land in the run ring for /v1/runs/{id}/trace; on a cache hit the
-	// engine never runs and the collector stays empty.
+	// A per-request span collector rides along with the compute: if
+	// this request is the one that computes (cache miss), its spans land
+	// in the run ring for /v1/runs/{id}/trace; on a cache hit the engine
+	// never runs and the collector stays empty. The collector is an
+	// event probe, so this one compute takes the instrumented path.
 	var collector sim.SpanCollector
 	var run sweep.RunResult
 	if call.Trace {
 		// Traced runs bypass the memo cache: a cache hit has no engine
 		// run to observe, and the whole point here is a fresh timeline.
-		// The engine metrics probe still observes the run.
-		run.Result, run.Err = call.Spec.RunOnce(ctx, s.engine, &collector)
+		// The pool never sees this run, so it is published here.
+		run.Result, run.Err = call.Spec.RunOnce(ctx, &collector)
+		if run.Err == nil {
+			s.engine.ObserveResult(run.Result)
+		}
 	} else {
 		run = s.sweeper.RunProbed(ctx, []sweep.Spec{call.Spec}, &collector).Runs[0]
 	}

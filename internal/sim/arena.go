@@ -254,6 +254,7 @@ func (a *Arena) bind(cfg engineConfig) *Engine {
 	e.breaks = 0
 	e.err = nil
 	e.synthEvents = 0
+	e.counts = Counts{Instrumented: e.instrumented}
 	return e
 }
 
@@ -302,6 +303,7 @@ func (a *Arena) buildResult(e *Engine, plan *workplan.Plan, makespan time.Durati
 	res.Events = e.kernel.Processed() + e.synthEvents
 	res.MaxEventQueue = e.kernel.MaxDepth()
 	res.Faults = e.fstats
+	res.Counts = e.counts
 	return res
 }
 

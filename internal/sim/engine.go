@@ -32,7 +32,9 @@ package sim
 // variants, which are line-for-line the hook-bearing equivalents. The
 // fast path additionally batches contiguous same-color plan spans into
 // a single completion event where no other processor could observe the
-// intermediate state.
+// intermediate state. Both families keep the run's event tally
+// (Result.Counts), so a publisher reads a fast run's grants, blocks and
+// spans from its Result instead of installing a probe.
 
 import (
 	"context"
@@ -255,6 +257,10 @@ type Engine struct {
 	// batching, so Result.Events reports the same logical event count as
 	// the equivalent unbatched (instrumented) run.
 	synthEvents uint64
+	// counts is the run's event tally (Result.Counts), kept on both
+	// opcode families at the sites where the probe callbacks and span
+	// emission sit.
+	counts Counts
 
 	// plansrc, bagsrc, and stealsrc are the source downcast to the
 	// in-package policies, set once at bind. They devirtualize the
@@ -288,7 +294,7 @@ func (e *Engine) srcRequeue(pi int, task workplan.Task) {
 		s.Requeue(e, pi, task)
 		return
 	}
-	e.srcRequeue(pi, task)
+	e.source.Requeue(e, pi, task)
 }
 
 func (e *Engine) srcPark(pi int, sel Selection) {
@@ -304,7 +310,7 @@ func (e *Engine) srcPark(pi int, sel Selection) {
 		s.Park(e, pi, sel)
 		return
 	}
-	e.srcPark(pi, sel)
+	e.source.Park(e, pi, sel)
 }
 
 func (e *Engine) srcHasMore(pi int) bool {
@@ -317,7 +323,7 @@ func (e *Engine) srcHasMore(pi int) bool {
 	if s := e.stealsrc; s != nil {
 		return s.HasMore(e, pi)
 	}
-	return e.srcHasMore(pi)
+	return e.source.HasMore(e, pi)
 }
 
 // dispatch interprets op-coded kernel events. It is installed once per
@@ -496,8 +502,11 @@ func (e *Engine) Wake(pi int) {
 	now := e.kernel.Now()
 	ps := &e.procs[pi]
 	ps.stats.WaitLayer += now - ps.waitStart
-	if e.observing && now > ps.waitStart {
-		e.emitSpan(Span{Proc: pi, Kind: SpanWaitLayer, Start: ps.waitStart, End: now})
+	if now > ps.waitStart {
+		e.counts.WaitLayerSpans++
+		if e.observing {
+			e.emitSpan(Span{Proc: pi, Kind: SpanWaitLayer, Start: ps.waitStart, End: now})
+		}
 	}
 	e.schedOp(0, e.opAdvance, pi)
 }
@@ -552,6 +561,7 @@ func (e *Engine) advanceInst(pi int) {
 		if ps.stats.Finish < now {
 			ps.stats.Finish = now
 		}
+		e.counts.Retired++
 		for _, p := range e.probes {
 			p.ProcDone(pi, now)
 		}
@@ -567,6 +577,7 @@ func (e *Engine) advanceInst(pi int) {
 		}
 		e.srcPark(pi, sel)
 		ps.waitStart = now
+		e.counts.LayerBlocks++
 		for _, p := range e.probes {
 			p.Block(pi, SpanWaitLayer, palette.None, now)
 		}
@@ -605,6 +616,7 @@ func (e *Engine) advanceInst(pi int) {
 			e.impls[ii].stats.MaxQueue = depth
 		}
 	}
+	e.counts.ImplementBlocks[task.Color]++
 	for _, p := range e.probes {
 		p.Block(pi, SpanWaitImplement, task.Color, now)
 	}
@@ -616,9 +628,12 @@ func (e *Engine) putDown(pi int, now time.Duration) {
 	ps := &e.procs[pi]
 	im := e.impls[ps.holding].im
 	putDown := im.Spec.PutDown
-	if e.observing && putDown > 0 {
-		e.emitSpan(Span{Proc: pi, Kind: SpanPutDown,
-			Start: now, End: now + putDown, Color: im.Color})
+	if putDown > 0 {
+		e.counts.PutDownSpans++
+		if e.observing {
+			e.emitSpan(Span{Proc: pi, Kind: SpanPutDown,
+				Start: now, End: now + putDown, Color: im.Color})
+		}
 	}
 	ps.stats.Overhead += putDown
 	e.schedOp(putDown, e.opPutDown, pi)
@@ -655,12 +670,16 @@ func (e *Engine) grant(pi int, ii int32, now time.Duration) {
 			e.fstats.HandoffDelayTime += d
 		}
 	}
-	if e.observing && pickup > 0 {
-		e.emitSpan(Span{Proc: pi, Kind: SpanPickup,
-			Start: now, End: now + pickup, Color: is.im.Color})
+	if pickup > 0 {
+		e.counts.PickupSpans++
+		if e.observing {
+			e.emitSpan(Span{Proc: pi, Kind: SpanPickup,
+				Start: now, End: now + pickup, Color: is.im.Color})
+		}
 	}
 	ps.stats.Overhead += pickup
 	ps.holding = ii
+	e.counts.Grants++
 	for _, p := range e.probes {
 		p.Grant(pi, is.im, now)
 	}
@@ -676,6 +695,7 @@ func (e *Engine) release(pi int, now time.Duration) {
 	ps.holding = -1
 	is.holder = -1
 	is.stats.BusyTime += now - is.busySince
+	e.counts.Releases++
 	for _, p := range e.probes {
 		p.Release(pi, is.im, now)
 	}
@@ -688,9 +708,12 @@ func (e *Engine) release(pi int, now time.Duration) {
 	next := int(q.pop())
 	waiter := &e.procs[next]
 	waiter.stats.WaitImplement += now - waiter.waitStart
-	if e.observing && now > waiter.waitStart {
-		e.emitSpan(Span{Proc: next, Kind: SpanWaitImplement,
-			Start: waiter.waitStart, End: now, Color: c})
+	if now > waiter.waitStart {
+		e.counts.WaitImplementSpans++
+		if e.observing {
+			e.emitSpan(Span{Proc: next, Kind: SpanWaitImplement,
+				Start: waiter.waitStart, End: now, Color: c})
+		}
 	}
 	e.grant(next, ii, now)
 }
@@ -730,10 +753,14 @@ func (e *Engine) paintAttemptInst(pi int, task workplan.Task, now time.Duration,
 		}
 		e.fstats.ForcedBreaks++
 	}
-	if e.observing && repair > 0 {
-		e.emitSpan(Span{Proc: pi, Kind: SpanRepair,
-			Start: now + service, End: now + service + repair, Color: task.Color})
+	if repair > 0 {
+		e.counts.RepairSpans++
+		if e.observing {
+			e.emitSpan(Span{Proc: pi, Kind: SpanRepair,
+				Start: now + service, End: now + service + repair, Color: task.Color})
+		}
 	}
+	e.counts.PaintSpans++
 	if e.observing {
 		e.emitSpan(Span{Proc: pi, Kind: SpanPaint,
 			Start: now, End: now + service, Color: task.Color, Cell: task.Cell})
@@ -794,7 +821,8 @@ func (e *Engine) paintDoneInst(pi int) {
 // ---- Event loop: fast variants ----
 //
 // The same control flow as the instrumented variants with every probe,
-// fault, and trace hook removed — straight-line resource mechanics.
+// fault, and trace hook removed — straight-line resource mechanics and
+// the event tally.
 // Selected at run entry only when no probe, no tracing, and no fault
 // injector is installed, so removing the hooks cannot change results.
 
@@ -823,6 +851,7 @@ func (e *Engine) advanceFast(pi int) {
 		if ps.stats.Finish < now {
 			ps.stats.Finish = now
 		}
+		e.counts.Retired++
 		return
 
 	case SelectWait:
@@ -832,6 +861,7 @@ func (e *Engine) advanceFast(pi int) {
 		}
 		e.srcPark(pi, sel)
 		ps.waitStart = now
+		e.counts.LayerBlocks++
 		return
 	}
 
@@ -862,6 +892,7 @@ func (e *Engine) advanceFast(pi int) {
 			e.impls[ii].stats.MaxQueue = depth
 		}
 	}
+	e.counts.ImplementBlocks[task.Color]++
 }
 
 // paintFast executes the claimed task — and, when the static plan policy
@@ -884,12 +915,12 @@ func (e *Engine) paintFast(pi int, task workplan.Task, now time.Duration) {
 		k = e.plansrc.batchLen(e, pi, task)
 	}
 	var service, repair time.Duration
+	breaks := 0
 	if k == 1 {
 		service = ps.proc.ServiceTime(task.Cell, im)
 		if ps.proc.Breaks(im) {
 			repair = im.Spec.Repair
-			e.breaks++
-			e.impls[ps.holding].stats.Breakages++
+			breaks = 1
 		}
 	} else {
 		tasks := e.plansrc.plan.PerProc[pi]
@@ -899,11 +930,20 @@ func (e *Engine) paintFast(pi int, task workplan.Task, now time.Duration) {
 			service += ps.proc.ServiceTime(t.Cell, im)
 			if ps.proc.Breaks(im) {
 				repair += im.Spec.Repair
-				e.breaks++
-				e.impls[ps.holding].stats.Breakages++
+				breaks++
 			}
 		}
 	}
+	if breaks > 0 {
+		e.breaks += breaks
+		e.impls[ps.holding].stats.Breakages += breaks
+		// The instrumented path emits one repair span per break that
+		// costs time.
+		if im.Spec.Repair > 0 {
+			e.counts.RepairSpans += uint32(breaks)
+		}
+	}
+	e.counts.PaintSpans += uint32(k)
 	if !ps.painted {
 		ps.painted = true
 		ps.stats.FirstPaint = now

@@ -9,16 +9,22 @@ package sim
 //
 // Installing a probe forces span materialization even when Config.Trace
 // is off, so a collector probe sees exactly what a traced run records.
+// It also selects the engine's instrumented opcodes, which pay a
+// callback per event and never batch spans. A caller that only wants
+// totals installs nothing: on both opcode families every run's Result
+// holds the grants, releases, retirements, blocks and spans a probe
+// would have been called with (Result.Counts, Result.SpanCounts), and a
+// ResultProbe handed the Result (for example sweep.Options.Observer)
+// publishes them once per run.
 //
 // Goroutine safety: one engine run is single-threaded, so a probe
 // installed on exactly one run never sees concurrent callbacks. A probe
-// instance shared across runs that may execute in parallel — the sweep
-// pool's process-wide metrics probe is the canonical case — receives
-// interleaved callbacks from many engines at once and must be goroutine-
-// safe. Of the probes shipped here, CountingProbe is safe to share
-// (atomic counters); SpanCollector is not (it appends to a slice and
-// would interleave spans from unrelated runs) — install a fresh one per
-// run.
+// instance shared across runs that may execute in parallel (installed
+// pool-wide through sweep.Options.Probes) receives interleaved callbacks
+// from many engines at once and must be goroutine-safe. Of the probes
+// shipped here, CountingProbe is safe to share (atomic counters);
+// SpanCollector is not (it appends to a slice and would interleave spans
+// from unrelated runs) — install a fresh one per run.
 
 import (
 	"sync/atomic"
@@ -53,7 +59,9 @@ type Probe interface {
 // receives the completed run's Result once, after the event loop drains
 // and the executor assembles it. This is where run-level aggregates live
 // that no event callback can see — steal counts, migrated cells, total
-// events, the kernel's event-queue high-water mark.
+// events, the kernel's event-queue high-water mark, the event tally.
+// A ResultProbe that is not a Probe is handed Results by its owner (the
+// sweep pool's Options.Observer) and never touches the engine.
 type ResultProbe interface {
 	ObserveResult(res *Result)
 }

@@ -88,6 +88,9 @@ const (
 	// SpanStall is a fault-injected stall window (Config.Faults); the
 	// processor does nothing for the span's duration.
 	SpanStall
+
+	// NumSpanKinds is the size of a table indexed by SpanKind.
+	NumSpanKinds = int(SpanStall) + 1
 )
 
 // String names the span kind.
@@ -170,6 +173,57 @@ type Result struct {
 	// Faults tallies what the run's fault injector did; the zero value
 	// (Injected false) means no injector was installed.
 	Faults FaultStats
+	// Counts tallies the run's engine events in the Probe vocabulary.
+	Counts Counts
+}
+
+// Counts is the engine's own tally of one run, kept on both opcode
+// families: with the rest of the Result it holds what an installed
+// Probe would have been called with, so a publisher can report a whole
+// run from its Result without putting the run on the instrumented
+// path. What other Result fields already determine is not repeated:
+// cells painted are the sum of Procs[i].Cells, and SpanCounts derives
+// the setup and stall spans. The tally is kept small because the sweep
+// memo holds a Result per computed spec.
+type Counts struct {
+	// Grants counts implement acquisitions, handoffs included
+	// (Probe.Grant); Releases counts put-backs (Probe.Release).
+	Grants, Releases uint32
+	// Retired counts processors that ran out of work (Probe.ProcDone).
+	Retired uint32
+	// LayerBlocks counts parks on a layer dependency; ImplementBlocks[c]
+	// counts joins of color c's implement queue (Probe.Block).
+	LayerBlocks     uint32
+	ImplementBlocks [palette.NColors]uint32
+	// The span counts are the spans of each kind an observed run
+	// materializes (Probe.Span): one paint span per cell attempt,
+	// pickup, put-down and wait spans only when they last longer than
+	// zero, and one repair span per break that costs time.
+	PaintSpans, WaitImplementSpans, WaitLayerSpans uint32
+	PickupSpans, PutDownSpans, RepairSpans         uint32
+	// Instrumented reports that the run took the hook-bearing opcodes
+	// because it was traced, probed or fault-injected.
+	Instrumented bool
+}
+
+// SpanCounts returns, by kind, the spans the run materialized, or
+// would have had it been observed: the engine's tally plus one setup
+// span per processor when the run had a setup phase and one stall span
+// per fault-injected stall.
+func (r *Result) SpanCounts() [NumSpanKinds]uint32 {
+	c := &r.Counts
+	var n [NumSpanKinds]uint32
+	n[SpanPaint] = c.PaintSpans
+	n[SpanWaitImplement] = c.WaitImplementSpans
+	n[SpanWaitLayer] = c.WaitLayerSpans
+	n[SpanPickup] = c.PickupSpans
+	n[SpanPutDown] = c.PutDownSpans
+	n[SpanRepair] = c.RepairSpans
+	if r.SetupTime > 0 {
+		n[SpanSetup] = uint32(len(r.Procs))
+	}
+	n[SpanStall] = uint32(r.Faults.Stalls)
+	return n
 }
 
 // TotalWaitImplement sums implement-contention wait across processors —

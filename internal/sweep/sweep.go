@@ -31,11 +31,20 @@ type Options struct {
 	// Workers bounds pool concurrency; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Probes are installed on every compute the pool executes (cache hits
-	// fire nothing — the engine never ran). Because pool workers run
-	// concurrently, every probe listed here MUST be goroutine-safe (see
-	// the sim.Probe docs); sim.CountingProbe and the obs metrics probe
-	// qualify, sim.SpanCollector does not.
+	// fire nothing — the engine never ran). Installing any probe puts
+	// every compute on the engine's instrumented path. Because pool
+	// workers run concurrently, every probe listed here MUST be
+	// goroutine-safe (see the sim.Probe docs); sim.CountingProbe
+	// qualifies, sim.SpanCollector does not.
 	Probes []sim.Probe
+	// Observer, when non-nil, is handed every result the pool computes
+	// successfully, once, after its compute returns; never a memo hit, a
+	// tier hit, an error or a canceled compute. It installs nothing on
+	// the engine, so an untraced, probe-free compute keeps the fast path,
+	// and it reads the run's totals from the Result (sim.Result.Counts).
+	// Pool workers call it concurrently, so it must be goroutine-safe.
+	// flagsimd publishes its engine metrics through it (obs.MetricsProbe).
+	Observer sim.ResultProbe
 	// Tier, when non-nil, is a second cache level behind the in-memory
 	// memo — typically disk-backed and process-lifetime-crossing (see
 	// internal/dist's content-addressed result store). Lookup order is
@@ -137,9 +146,10 @@ type entry struct {
 // across batches, so a rerun of the same grid is served warm. A Sweeper
 // is safe for concurrent use.
 type Sweeper struct {
-	workers int
-	probes  []sim.Probe
-	tier    Tier
+	workers  int
+	probes   []sim.Probe
+	observer sim.ResultProbe
+	tier     Tier
 
 	mu    sync.Mutex
 	cache map[[sha256.Size]byte]*entry
@@ -167,7 +177,8 @@ func New(opts Options) *Sweeper {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &Sweeper{workers: w, probes: opts.Probes, tier: opts.Tier, cache: make(map[[sha256.Size]byte]*entry)}
+	return &Sweeper{workers: w, probes: opts.Probes, observer: opts.Observer, tier: opts.Tier,
+		cache: make(map[[sha256.Size]byte]*entry)}
 }
 
 // Workers returns the pool's concurrency bound.
@@ -284,6 +295,9 @@ func (s *Sweeper) RunProbed(ctx context.Context, specs []Spec, extra ...sim.Prob
 						// are memoized in memory but never tiered — a disk
 						// tier must hold only verified results.
 						s.tier.Put(key, e.res)
+					}
+					if e.err == nil && s.observer != nil {
+						s.observer.ObserveResult(e.res)
 					}
 					if e.err != nil && errors.Is(e.err, sim.ErrCanceled) {
 						// Never memoize a canceled compute: evict before

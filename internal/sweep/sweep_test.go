@@ -516,3 +516,58 @@ func TestSweepMidBatchCancellation(t *testing.T) {
 		t.Errorf("pool did not drain after retry: running=%d queued=%d", running, queued)
 	}
 }
+
+// countingObserver records every Result the pool hands its Observer.
+type countingObserver struct {
+	mu   sync.Mutex
+	seen []*sim.Result
+}
+
+func (o *countingObserver) ObserveResult(res *sim.Result) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.seen = append(o.seen, res)
+}
+
+// TestObserverSeesComputesOnly: the Observer gets each successful
+// compute exactly once, on the fast path, and never a within-batch
+// duplicate, a memo hit, a tier hit, a failed compute or a canceled one.
+func TestObserverSeesComputesOnly(t *testing.T) {
+	obs := &countingObserver{}
+	tier := newMemTier()
+	s := New(Options{Workers: 2, Observer: obs, Tier: tier})
+	specs := testGrid()[:6]
+	batch := s.Run(nil, append(append([]Spec(nil), specs...), specs...))
+	if err := batch.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(obs.seen) != len(specs) {
+		t.Fatalf("observer saw %d results for %d computes", len(obs.seen), len(specs))
+	}
+	for _, res := range obs.seen {
+		if res.Counts.Instrumented {
+			t.Error("a probe-free pooled compute took the instrumented opcodes")
+		}
+	}
+	// Memo hits, then tier hits on a fresh pool over the same tier.
+	s.Run(nil, specs)
+	New(Options{Workers: 2, Observer: obs, Tier: tier}).Run(nil, specs)
+	if b := s.Run(nil, []Spec{{Flag: "mauritius", Scenario: 99}}); b.Err() == nil {
+		t.Fatal("a spec with an unknown scenario computed")
+	}
+	if len(obs.seen) != len(specs) {
+		t.Fatalf("hits or a failed compute reached the observer: %d results", len(obs.seen))
+	}
+
+	// A compute canceled mid-run publishes nothing.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s = New(Options{Workers: 1, Observer: obs, Probes: []sim.Probe{&cancelOnComplete{cancel: cancel}}})
+	big := Spec{Flag: "mauritius", Scenario: core.S1, Kind: implement.ThickMarker, W: 400, H: 260, Seed: 20}
+	if err := s.Run(ctx, []Spec{big}).Runs[0].Err; !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("canceled compute: err = %v", err)
+	}
+	if len(obs.seen) != len(specs) {
+		t.Fatalf("a canceled compute reached the observer: %d results", len(obs.seen))
+	}
+}
