@@ -473,7 +473,9 @@ const (
 // SweepOptions configures the sweep pool: the worker bound (default
 // runtime.GOMAXPROCS), event probes installed on every compute, an
 // Observer handed every computed Result (an EngineMetricsProbe, say),
-// and an optional second cache tier.
+// and record mode (an encoder; the memo then keeps each run's summary
+// and canonical bytes, not its Result) with an optional second cache
+// tier behind it.
 type SweepOptions = sweep.Options
 
 // SweepResult is a completed batch: per-run outcomes in input order plus

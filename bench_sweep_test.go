@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"flagsim"
+	"flagsim/internal/flagspec"
+	"flagsim/internal/grid"
 )
 
 // sweepBenchGrid is the 64-run E34 grid.
@@ -70,7 +72,7 @@ func BenchmarkSweepWarm(b *testing.B) {
 	}
 }
 
-// keySink keeps BenchmarkSpecKey's digest live.
+// keySink keeps BenchmarkSpecKey's and BenchmarkGridDigest's digests live.
 var keySink [32]byte
 
 // BenchmarkSpecKey times one content address for a builtin spec, the
@@ -86,5 +88,23 @@ func BenchmarkSpecKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		keySink = spec.Key()
+	}
+}
+
+// BenchmarkGridDigest times the grid hash every memo record takes when
+// its compute finishes and every sweep row prints: sha256 over the
+// grid's String() form, rendered row by row into a stack buffer. The
+// grid is Mauritius at 120×80, a generated flag's size class. It reports
+// allocations so benchguard's exact gate holds it at 0 allocs/op.
+func BenchmarkGridDigest(b *testing.B) {
+	g, err := grid.Rasterize(flagspec.Mauritius, 120, 80)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64((g.W() + 1) * g.H()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keySink = g.Digest()
 	}
 }

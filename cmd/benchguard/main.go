@@ -50,16 +50,18 @@ import (
 // guarded is the default benchmark set: the three engine policies (bare,
 // nil-hook, published to the metrics probe, fault-injected, and
 // oracle-verified for the static one), the sweep pool, the two warm
-// serving paths of the HTTP service and its cold generated sweep (every
-// run computed and published), the dispatcher's report path (which
-// carries the tracing plane's per-job bookkeeping) and its warm sweep
-// (rows read from stored results), the procedural flag generator (per-flag generation, whose
-// allocation envelope is pinned, plus the generated sweep cold/warm pair
-// guarding the content-addressed memo path, and the generated sweep over
-// all three executors, whose runs share one geometry per flag), and the
-// content key itself, whose allocation-flat baseline keeps it at 0
-// allocs/op.
-const guarded = "^(BenchmarkEngineStatic|BenchmarkEngineStaticNilHooks|BenchmarkEngineStaticProbed|BenchmarkEngineStaticFaults|BenchmarkEngineStaticOracle|BenchmarkEngineDynamic|BenchmarkEngineSteal|BenchmarkSweepParallel|BenchmarkServerRun|BenchmarkServerSweepWarm|BenchmarkServerSweepCold|BenchmarkDispatcherReport|BenchmarkDispatcherSweepWarm|BenchmarkGenFlag|BenchmarkSweepGeneratedCold|BenchmarkSweepGeneratedExecs|BenchmarkSweepGeneratedWarm|BenchmarkSpecKey)$"
+// serving paths of the HTTP service, its in-process warm /v1/run (the
+// memo record's stored bytes, with its allocations) and its cold
+// generated sweep (every run computed and published), the dispatcher's
+// report path (which carries the tracing plane's per-job bookkeeping)
+// and its warm sweep (rows read from stored results), the procedural
+// flag generator (per-flag generation, whose allocation envelope is
+// pinned, plus the generated sweep cold/warm pair guarding the
+// content-addressed memo path, and the generated sweep over all three
+// executors, whose runs share one geometry per flag), and the content
+// key and the grid digest, whose allocation-flat baselines keep them at
+// 0 allocs/op.
+const guarded = "^(BenchmarkEngineStatic|BenchmarkEngineStaticNilHooks|BenchmarkEngineStaticProbed|BenchmarkEngineStaticFaults|BenchmarkEngineStaticOracle|BenchmarkEngineDynamic|BenchmarkEngineSteal|BenchmarkSweepParallel|BenchmarkServerRun|BenchmarkServerRunWarm|BenchmarkServerSweepWarm|BenchmarkServerSweepCold|BenchmarkDispatcherReport|BenchmarkDispatcherSweepWarm|BenchmarkGenFlag|BenchmarkSweepGeneratedCold|BenchmarkSweepGeneratedExecs|BenchmarkSweepGeneratedWarm|BenchmarkSpecKey|BenchmarkGridDigest)$"
 
 // flatBytesSlack is the absolute B/op growth allowed on an
 // allocation-flat benchmark before the gate fails. A genuinely

@@ -16,7 +16,6 @@ package check
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"strings"
@@ -262,7 +261,7 @@ func runVerified(ctx context.Context, spec sweep.Spec, label string) (DiffRow, [
 	for _, p := range res.Procs {
 		cells += p.Cells
 	}
-	sum := sha256.Sum256([]byte(res.Grid.String()))
+	sum := res.Grid.Digest()
 	row := DiffRow{
 		Exec:     spec.Exec,
 		Spec:     spec,

@@ -21,7 +21,7 @@ func FuzzDistWireDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	enc, err := EncodeResult(res)
+	enc, err := wire.MarshalResult(res)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -38,6 +38,8 @@ func FuzzDistWireDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
+	// A stored record whose grid digest is not 64 hex digits.
+	f.Add([]byte(`{"strategy":"s","makespan_ns":1,"setup_ns":0,"events":2,"grid_sha256":"00"}`))
 	// A valid payload followed by more bytes is rejected as a whole.
 	for _, tail := range []string{`{"seed":1}`, ` x`, `}`, `]`} {
 		raw := []byte(`{"name":"w1","slots":4}` + tail)
@@ -69,13 +71,13 @@ func FuzzDistWireDecode(f *testing.F) {
 		check(t, "DecodeRenew", err)
 		_, err = DecodeReport(raw)
 		check(t, "DecodeReport", err)
-		if res, err := DecodeResult(raw); err == nil {
-			// An accepted result must re-encode cleanly (store round-trip).
-			if _, err := EncodeResult(res); err != nil {
-				t.Errorf("accepted result does not re-encode: %v", err)
+		if rec, err := decodeRecord(raw); err == nil {
+			// An accepted stored record serves exactly the stored bytes.
+			if got, err := rec.Bytes(); err != nil || string(got) != string(raw) {
+				t.Errorf("accepted record serves %q (%v), stored %q", got, err, raw)
 			}
 		} else {
-			check(t, "DecodeResult", err)
+			check(t, "decodeRecord", err)
 		}
 	})
 }

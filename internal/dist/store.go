@@ -2,8 +2,9 @@ package dist
 
 // ResultStore is the cluster's second cache tier: one fsynced,
 // checksummed file per result, named by the spec's content address. It
-// outlives processes and machines — any dispatcher (or worker, via
-// DiskTier) pointed at the same directory serves the same warm set.
+// outlives processes and machines — any dispatcher pointed at the same
+// directory serves the same warm set, and so does any worker sharing a
+// -cache-dir (DiskTier keeps the same payloads in its own directory).
 //
 // File format: "FDRS" | u16 version | key[32] | u32 payloadLen |
 // payload | sha256(payload). The embedded key must match the filename
@@ -74,7 +75,11 @@ type ResultStore struct {
 // OpenResultStore opens (creating if needed) the store under dir,
 // scanning existing entries into the index without reading payloads.
 func OpenResultStore(dir string) (*ResultStore, error) {
-	sdir := filepath.Join(dir, storeDirName)
+	return openStore(filepath.Join(dir, storeDirName))
+}
+
+// openStore opens the store whose entry files live in sdir.
+func openStore(sdir string) (*ResultStore, error) {
 	if err := os.MkdirAll(sdir, 0o755); err != nil {
 		return nil, err
 	}

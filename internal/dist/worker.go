@@ -39,8 +39,9 @@ type WorkerConfig struct {
 	// default 200ms.
 	PollInterval time.Duration
 	// Tier, when non-nil, is the worker's local disk cache
-	// (sweep.Options.Tier): results survive worker restarts and are
-	// shared by co-located workers pointing at the same directory.
+	// (sweep.Options.Tier, e.g. a DiskTier): records survive worker
+	// restarts and are shared by co-located workers pointing at the same
+	// directory.
 	Tier sweep.Tier
 	// Logger receives the worker's structured log; nil discards.
 	Logger *slog.Logger
@@ -89,12 +90,13 @@ type Worker struct {
 }
 
 // NewWorker assembles a worker around its own sweep pool (memo cache
-// plus optional disk tier).
+// plus optional disk tier). The memo runs in record mode: a job's entry
+// keeps the canonical bytes its report carried, not the whole result.
 func NewWorker(cfg WorkerConfig) *Worker {
 	cfg = cfg.withDefaults()
 	return &Worker{
 		cfg:     cfg,
-		sweeper: sweep.New(sweep.Options{Workers: cfg.Slots, Tier: cfg.Tier}),
+		sweeper: sweep.New(sweep.Options{Workers: cfg.Slots, Encode: wire.EncodeRecord, Tier: cfg.Tier}),
 		log:     cfg.Logger,
 	}
 }
@@ -232,7 +234,7 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 		w.report(ctx, lease, nil, nil, elapsed, run.Err)
 		return
 	}
-	raw, err := wire.MarshalResult(run.Result)
+	raw, err := run.Record.Bytes()
 	if err != nil {
 		w.failed.Add(1)
 		w.report(ctx, lease, nil, nil, elapsed, err)

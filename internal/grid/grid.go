@@ -9,6 +9,7 @@
 package grid
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync"
@@ -112,38 +113,6 @@ func (g *Grid) PaintedCells() int {
 		}
 	}
 	return n
-}
-
-// Restore rebuilds a grid from a serialized cell array — the decode half
-// of a persisted run result (see internal/dist's result codec). Unlike
-// New it validates rather than panics: a persisted blob is external
-// input. paints restores the paint-operation counter, which a cell array
-// alone cannot reconstruct (overpaints leave no trace).
-func Restore(w, h int, cells []palette.Color, paints int) (*Grid, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("grid: non-positive size %dx%d", w, h)
-	}
-	if len(cells) != w*h {
-		return nil, fmt.Errorf("grid: %d cells for a %dx%d grid", len(cells), w, h)
-	}
-	if paints < 0 {
-		return nil, fmt.Errorf("grid: negative paint count %d", paints)
-	}
-	for i, c := range cells {
-		if c != palette.None && !c.Valid() {
-			return nil, fmt.Errorf("grid: invalid color %d at cell %d", uint8(c), i)
-		}
-	}
-	g := New(w, h)
-	copy(g.cells, cells)
-	g.paints = paints
-	return g, nil
-}
-
-// Cells returns a copy of the grid's cell array in row-major order — the
-// encode half of a persisted run result.
-func (g *Grid) Cells() []palette.Color {
-	return append([]palette.Color(nil), g.cells...)
 }
 
 // Clone returns a deep copy (paint counter included).
@@ -326,4 +295,53 @@ func (g *Grid) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// digestChunk is how many bytes of String()'s form Digest renders before
+// handing them to the hash: a stack buffer, so Digest allocates nothing
+// whatever the grid's size.
+const digestChunk = 512
+
+// glyph maps every colour byte to the one-byte rune String() renders it
+// as: palette runes are ASCII, '?' for an invalid colour included.
+var glyph = func() (t [256]byte) {
+	for i := range t {
+		t[i] = byte(palette.Color(i).Rune())
+	}
+	return t
+}()
+
+// Digest returns sha256.Sum256([]byte(g.String())) without building the
+// string: rows are rendered chunk by chunk into a stack buffer and hashed
+// as they go. It allocates nothing.
+func (g *Grid) Digest() [sha256.Size]byte {
+	h := sha256.New()
+	var buf [digestChunk]byte
+	n := 0
+	for y := 0; y < g.h; y++ {
+		row := g.cells[y*g.w : (y+1)*g.w]
+		for len(row) > 0 {
+			if n == len(buf) {
+				h.Write(buf[:])
+				n = 0
+			}
+			src := row[:min(len(row), len(buf)-n)]
+			dst := buf[n : n+len(src)]
+			for i, c := range src {
+				dst[i] = glyph[c]
+			}
+			n += len(src)
+			row = row[len(src):]
+		}
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		buf[n] = '\n'
+		n++
+	}
+	h.Write(buf[:n])
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }

@@ -70,12 +70,18 @@ type SweepCall struct {
 // Reply is a backend's answer: the daemon's own response body plus the
 // facts the request envelope records in its log line and run ring.
 type Reply struct {
+	// Body is marshaled as the 200 reply; a []byte is a body already
+	// encoded, trailing newline included, and is written as is.
 	Body     any
 	CacheHit bool
-	// Result and Spans are a run executed in-process and the engine
-	// spans captured for this request; nil otherwise.
-	Result *sim.Result
-	Spans  []sim.Span
+	// Makespan and Events summarize a run the backend read or computed
+	// in-process; zero otherwise.
+	Makespan time.Duration
+	Events   uint64
+	// Procs and Spans are the processor names and the engine spans
+	// captured for this request; nil when nothing was captured.
+	Procs []string
+	Spans []sim.Span
 }
 
 // StatusError is a backend failure with its row of the status table
@@ -163,9 +169,14 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, fmt.Sprintf(`{"error":%q}`, err), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, status, append(raw, '\n'))
+}
+
+// writeBody writes an encoded JSON body with the given status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(raw, '\n'))
+	w.Write(body)
 }
 
 // WriteError writes {"error": err} with the given status.
@@ -252,13 +263,15 @@ func (f *Frontend) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sum.Runs, sum.CacheHit = 1, rep.CacheHit
-	if res := rep.Result; res != nil {
-		sum.Makespan, sum.Events = res.Makespan, res.Events
-		if len(rep.Spans) > 0 {
-			sum.Procs, sum.Trace = procNames(res), rep.Spans
-		}
+	sum.Makespan, sum.Events = rep.Makespan, rep.Events
+	if len(rep.Spans) > 0 {
+		sum.Procs, sum.Trace = rep.Procs, rep.Spans
 	}
 	if !call.Trace {
+		if raw, ok := rep.Body.([]byte); ok {
+			writeBody(w, http.StatusOK, raw)
+			return
+		}
 		WriteJSON(w, http.StatusOK, rep.Body)
 		return
 	}

@@ -131,7 +131,10 @@ func TestEngineMetricsInstrumentedRuns(t *testing.T) {
 	if v := metricValue(t, out, "flagsim_engine_instrumented_runs_total"); v != 0 {
 		t.Errorf("untraced, fault-free sweeps ran %g instrumented computes, want 0", v)
 	}
-	// The memo holds the pool's own Results: each one ran fast.
+	// The memo holds a record of every spec, and nothing but the computes
+	// counted above: one entry per compute, no other miss. Every one of
+	// those computes was published uninstrumented, so every memoized
+	// record came from a fast-path compute.
 	for _, body := range sweeps {
 		var req wire.SweepRequest
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
@@ -141,12 +144,14 @@ func TestEngineMetricsInstrumentedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, run := range s.Sweeper().Run(nil, specs).Runs {
-			if !run.CacheHit || run.Result.Counts.Instrumented {
-				t.Errorf("%s: cache hit %v, instrumented %v; want a memoized fast-path result",
-					run.Spec.Label(), run.CacheHit, run.Result.Counts.Instrumented)
+		for _, spec := range specs {
+			if _, ok := s.Sweeper().Lookup(spec.Key()); !ok {
+				t.Errorf("%s: no memoized record", spec.Label())
 			}
 		}
+	}
+	if st := s.Sweeper().Stats(); st.Entries != computed || st.Misses != computed {
+		t.Errorf("memo holds %d entries from %d misses, want the %d fast-path computes", st.Entries, st.Misses, computed)
 	}
 
 	instrumented := 0

@@ -34,7 +34,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -47,6 +46,7 @@ import (
 	"flagsim/internal/obs"
 	"flagsim/internal/sim"
 	"flagsim/internal/sweep"
+	"flagsim/internal/wire"
 )
 
 // Config parameterizes the service. The zero value serves with sensible
@@ -162,10 +162,11 @@ type Server struct {
 }
 
 // New assembles a Server. The sweep pool and its memo cache live as
-// long as the Server, so repeated requests are served warm, and the
-// pool hands every result it computes to the engine metrics probe, so
-// every compute feeds the shared registry without leaving the engine's
-// fast path.
+// long as the Server, so repeated requests are served warm; the memo
+// runs in record mode, keeping each run's row summary and, once first
+// read, its canonical bytes. The pool hands every result it computes to
+// the engine metrics probe, so every compute feeds the shared registry
+// without leaving the engine's fast path.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
@@ -175,6 +176,7 @@ func New(cfg Config) *Server {
 	s.sweeper = sweep.New(sweep.Options{
 		Workers:  cfg.SweepWorkers,
 		Observer: s.engine,
+		Encode:   wire.EncodeRecord,
 	})
 	s.HandleFunc("/v1/flags", s.instrument("/v1/flags", Only(http.MethodGet, s.handleFlags)))
 	s.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
@@ -219,47 +221,71 @@ func (s *Server) admit(ctx context.Context) error {
 }
 
 // Run is the local Backend's single run: behind the admission gate,
-// through the memo cache, or — for a traced call — straight to the
-// engine. A run error is a spec the engine rejected (422) unless the
-// run was canceled, which the front end maps (499/504).
+// then the memo's finished record, or a one-spec batch that computes
+// (or waits for) it, or — for a traced call — straight to the engine. A
+// run error is a spec the engine rejected (422) unless the run was
+// canceled, which the front end maps (499/504).
 func (s *Server) Run(ctx context.Context, call RunCall) (Reply, error) {
 	if err := s.admit(ctx); err != nil {
 		return Reply{}, err
 	}
 	defer s.gate.release()
-	// A per-request span collector rides along with the compute: if
-	// this request is the one that computes (cache miss), its spans land
-	// in the run ring for /v1/runs/{id}/trace; on a cache hit the engine
-	// never runs and the collector stays empty. The collector is an
-	// event probe, so this one compute takes the instrumented path.
-	var collector sim.SpanCollector
-	var run sweep.RunResult
+	// A run's captured spans go to the run ring for /v1/runs/{id}/trace;
+	// the front end streams a traced run's spans in place of a body.
 	if call.Trace {
 		// Traced runs bypass the memo cache: a cache hit has no engine
 		// run to observe, and the whole point here is a fresh timeline.
 		// The pool never sees this run, so it is published here.
-		run.Result, run.Err = call.Spec.RunOnce(ctx, &collector)
-		if run.Err == nil {
-			s.engine.ObserveResult(run.Result)
+		var collector sim.SpanCollector
+		res, err := call.Spec.RunOnce(ctx, &collector)
+		if err != nil {
+			return Reply{}, runError(err)
 		}
-	} else {
-		run = s.sweeper.RunProbed(ctx, []sweep.Spec{call.Spec}, &collector).Runs[0]
+		s.engine.ObserveResult(res)
+		return Reply{Makespan: res.Makespan, Events: res.Events,
+			Procs: procNames(res), Spans: collector.Spans}, nil
 	}
-	switch {
-	case errors.Is(run.Err, sim.ErrCanceled):
-		return Reply{}, run.Err
-	case run.Err != nil:
-		return Reply{}, &StatusError{Code: http.StatusUnprocessableEntity, Err: run.Err}
+	if rec, ok := s.sweeper.Lookup(call.Key); ok {
+		return runReply(call, rec, true, 0)
+	}
+	// A per-request span collector rides along with the compute: if
+	// this request is the one that computes, its spans land in the run
+	// ring; if it waits for another request's compute, the engine never
+	// runs for it and the collector stays empty. The collector is an
+	// event probe, so this one compute takes the instrumented path.
+	var collector sim.SpanCollector
+	run := s.sweeper.RunProbed(ctx, []sweep.Spec{call.Spec}, &collector).Runs[0]
+	if run.Err != nil {
+		return Reply{}, runError(run.Err)
+	}
+	rep, err := runReply(call, run.Record, run.CacheHit, run.Elapsed)
+	if err == nil && len(collector.Spans) > 0 {
+		rep.Procs, rep.Spans = procNames(run.Result), collector.Spans
+	}
+	return rep, err
+}
+
+// runError maps a failed run onto the status table: a cancellation
+// passes through for the front end, anything else is a spec the engine
+// rejected.
+func runError(err error) error {
+	if errors.Is(err, sim.ErrCanceled) {
+		return err
+	}
+	return &StatusError{Code: http.StatusUnprocessableEntity, Err: err}
+}
+
+// runReply answers a /v1/run from the run's record: the envelope is
+// written around the record's canonical bytes, which are encoded only
+// if no earlier read has encoded them.
+func runReply(call RunCall, rec *sweep.Record, hit bool, elapsed time.Duration) (Reply, error) {
+	result, err := rec.Bytes()
+	if err != nil {
+		return Reply{}, err
 	}
 	return Reply{
-		Body: RunResponse{
-			RunID:     call.RunID,
-			Spec:      call.Spec.Label(),
-			CacheHit:  run.CacheHit,
-			ElapsedNS: int64(run.Elapsed),
-			Result:    NewSimResult(run.Result),
-		},
-		CacheHit: run.CacheHit, Result: run.Result, Spans: collector.Spans,
+		Body:     runBody(call.RunID, call.Spec.Label(), hit, elapsed, result),
+		CacheHit: hit, Makespan: rec.Makespan, Events: rec.Events,
 	}, nil
 }
 
@@ -286,10 +312,10 @@ func (s *Server) Sweep(ctx context.Context, call SweepCall) (Reply, error) {
 			row.Err = run.Err.Error()
 			canceled = canceled || errors.Is(run.Err, sim.ErrCanceled)
 		} else {
-			sum := sha256.Sum256([]byte(run.Result.Grid.String()))
-			row.MakespanNS = int64(run.Result.Makespan)
-			row.Events = run.Result.Events
-			row.GridSHA256 = hex.EncodeToString(sum[:])
+			rec := run.Record
+			row.MakespanNS = int64(rec.Makespan)
+			row.Events = rec.Events
+			row.GridSHA256 = hex.EncodeToString(rec.GridSHA256[:])
 		}
 		resp.Runs = append(resp.Runs, row)
 	}

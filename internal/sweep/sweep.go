@@ -45,25 +45,36 @@ type Options struct {
 	// Pool workers call it concurrently, so it must be goroutine-safe.
 	// flagsimd publishes its engine metrics through it (obs.MetricsProbe).
 	Observer sim.ResultProbe
+	// Encode, when non-nil, puts the Sweeper in record mode: a
+	// successful compute is memoized as a *Record (the run's Summary,
+	// plus a slim copy of its Result that Encode turns into canonical
+	// bytes on the record's first Bytes call) instead of the whole
+	// *sim.Result. In record mode the RunResult of the spec that
+	// computed carries both the live Result and the Record, and every
+	// hit carries the Record alone. flagsimd and flagworkd set it to
+	// wire.EncodeRecord; library callers leave it nil and get live
+	// Results on every hit.
+	Encode Encoder
 	// Tier, when non-nil, is a second cache level behind the in-memory
 	// memo — typically disk-backed and process-lifetime-crossing (see
 	// internal/dist's content-addressed result store). Lookup order is
 	// memo → tier → compute; a tier hit is promoted into the memo, and
-	// every successful compute is written through. The Tier must be
-	// goroutine-safe: pool workers consult it concurrently.
+	// every successful compute is written through. A Tier holds records,
+	// so it needs Encode. The Tier must be goroutine-safe: pool workers
+	// consult it concurrently.
 	Tier Tier
 }
 
-// Tier is a second, typically persistent result-cache level consulted on
-// memo misses and written through on computes. Get reports whether a
-// result for the key is present; a Tier that cannot produce a verified
-// result (missing, corrupt, unreadable) must return ok == false rather
-// than an error — the pool's fallback is simply to compute. Results are
+// Tier is a second, typically persistent record-cache level consulted
+// on memo misses and written through on computes. Get reports whether a
+// record for the key is present; a Tier that cannot produce a verified
+// record (missing, corrupt, unreadable) must return ok == false rather
+// than an error — the pool's fallback is simply to compute. Records are
 // content-addressed by Spec.Key(), so a Tier may be shared by any number
 // of processes on any number of machines.
 type Tier interface {
-	Get(key [sha256.Size]byte) (*sim.Result, bool)
-	Put(key [sha256.Size]byte, res *sim.Result)
+	Get(key [sha256.Size]byte) (*Record, bool)
+	Put(key [sha256.Size]byte, rec *Record)
 }
 
 // CacheStats counts cache outcomes. A within-batch duplicate of a spec
@@ -99,8 +110,12 @@ func (c CacheStats) HitRate() float64 {
 type RunResult struct {
 	Spec Spec
 	// Result is the completed run; shared (not copied) with every other
-	// cache hit of the same key, so treat it as read-only.
+	// cache hit of the same key, so treat it as read-only. In record mode
+	// only the spec that computed the run gets it; hits leave it nil.
 	Result *sim.Result
+	// Record is the run's memoized record in record mode (Options.Encode)
+	// when it succeeded; nil otherwise.
+	Record *Record
 	// Err is the run's error; errors are memoized like results (a spec
 	// that fails deterministically fails from cache too).
 	Err error
@@ -134,11 +149,13 @@ func (r *Result) Err() error {
 	return nil
 }
 
-// entry is one cache slot. done closes when the compute finishes; res and
-// err are immutable afterwards.
+// entry is one cache slot. done closes when the compute finishes; res,
+// rec and err are immutable afterwards. A successful entry holds res,
+// or rec in record mode; a failed one holds err.
 type entry struct {
 	done chan struct{}
 	res  *sim.Result
+	rec  *Record
 	err  error
 }
 
@@ -149,6 +166,7 @@ type Sweeper struct {
 	workers  int
 	probes   []sim.Probe
 	observer sim.ResultProbe
+	encode   Encoder
 	tier     Tier
 
 	mu    sync.Mutex
@@ -171,14 +189,19 @@ type Sweeper struct {
 	geoLive  atomic.Int64
 }
 
-// New returns a Sweeper with an empty cache.
+// New returns a Sweeper with an empty cache. It panics when opts sets a
+// Tier without Encode, which is always a programming error: a tier
+// stores records, and only record mode makes them.
 func New(opts Options) *Sweeper {
 	w := opts.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &Sweeper{workers: w, probes: opts.Probes, observer: opts.Observer, tier: opts.Tier,
-		cache: make(map[[sha256.Size]byte]*entry)}
+	if opts.Tier != nil && opts.Encode == nil {
+		panic("sweep: Options.Tier needs Options.Encode")
+	}
+	return &Sweeper{workers: w, probes: opts.Probes, observer: opts.Observer,
+		encode: opts.Encode, tier: opts.Tier, cache: make(map[[sha256.Size]byte]*entry)}
 }
 
 // Workers returns the pool's concurrency bound.
@@ -195,6 +218,31 @@ func (s *Sweeper) Stats() CacheStats {
 		Entries: entries, Evictions: int(s.evictions.Load()),
 		TierHits: int(s.tierHits.Load()), TierMisses: int(s.tierMisses.Load()),
 	}
+}
+
+// Lookup returns the record memoized under key when its compute has
+// finished and succeeded, and counts the lookup as a cache hit. A key
+// that is absent, still computing or failed reports false and counts
+// nothing: the caller runs it through a batch, which waits for an
+// in-flight compute and counts the outcome itself. Outside record mode
+// it always reports false.
+func (s *Sweeper) Lookup(key [sha256.Size]byte) (*Record, bool) {
+	s.mu.Lock()
+	e := s.cache[key]
+	s.mu.Unlock()
+	if e == nil {
+		return nil, false
+	}
+	select {
+	case <-e.done:
+	default:
+		return nil, false
+	}
+	if e.rec == nil {
+		return nil, false
+	}
+	s.hits.Add(1)
+	return e.rec, true
 }
 
 // PoolDepth returns the pool's instantaneous occupancy: specs currently
@@ -271,33 +319,42 @@ func (s *Sweeper) RunProbed(ctx context.Context, specs []Spec, extra ...sim.Prob
 					// silent, like any cache hit) and is promoted into the
 					// memo by publishing through the entry as usual.
 					if s.tier != nil {
-						if res, ok := s.tier.Get(key); ok {
-							e.res = res
+						if rec, ok := s.tier.Get(key); ok {
+							e.rec = rec
 							close(e.done)
 							tierHits.Add(1)
 							s.tierHits.Add(1)
-							batch.Runs[i] = RunResult{Spec: specs[i], Result: res, CacheHit: true}
+							batch.Runs[i] = RunResult{Spec: specs[i], Record: rec, CacheHit: true}
 							return
 						}
 						tierMisses.Add(1)
 						s.tierMisses.Add(1)
 					}
 					t0 := time.Now()
+					var res *sim.Result
 					if f, geo, err := share.resolve(i); err != nil {
 						e.err = err
 					} else {
-						e.res, e.err = specs[i].runOn(ctx, probes, f, geo)
+						res, e.err = specs[i].runOn(ctx, probes, f, geo)
 					}
 					elapsed := time.Since(t0)
-					if e.err == nil && s.tier != nil {
-						// Write-through: the tier persists what the memo
-						// only remembers for the process lifetime. Errors
-						// are memoized in memory but never tiered — a disk
-						// tier must hold only verified results.
-						s.tier.Put(key, e.res)
-					}
-					if e.err == nil && s.observer != nil {
-						s.observer.ObserveResult(e.res)
+					if e.err == nil {
+						if s.encode != nil {
+							e.rec = newRecord(res, s.encode)
+						} else {
+							e.res = res
+						}
+						if s.tier != nil {
+							// Write-through: the tier persists what the
+							// memo only remembers for the process lifetime.
+							// Errors are memoized in memory but never
+							// tiered — a disk tier must hold only verified
+							// results.
+							s.tier.Put(key, e.rec)
+						}
+						if s.observer != nil {
+							s.observer.ObserveResult(res)
+						}
 					}
 					if e.err != nil && errors.Is(e.err, sim.ErrCanceled) {
 						// Never memoize a canceled compute: evict before
@@ -311,7 +368,7 @@ func (s *Sweeper) RunProbed(ctx context.Context, specs []Spec, extra ...sim.Prob
 					close(e.done)
 					misses.Add(1)
 					s.misses.Add(1)
-					batch.Runs[i] = RunResult{Spec: specs[i], Result: e.res, Err: e.err, Elapsed: elapsed}
+					batch.Runs[i] = RunResult{Spec: specs[i], Result: res, Record: e.rec, Err: e.err, Elapsed: elapsed}
 					return
 				}
 
@@ -323,7 +380,7 @@ func (s *Sweeper) RunProbed(ctx context.Context, specs []Spec, extra ...sim.Prob
 				}
 				hits.Add(1)
 				s.hits.Add(1)
-				batch.Runs[i] = RunResult{Spec: specs[i], Result: e.res, Err: e.err, CacheHit: true}
+				batch.Runs[i] = RunResult{Spec: specs[i], Result: e.res, Record: e.rec, Err: e.err, CacheHit: true}
 				return
 			}
 		}(i)

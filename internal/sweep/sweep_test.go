@@ -535,7 +535,7 @@ func (o *countingObserver) ObserveResult(res *sim.Result) {
 func TestObserverSeesComputesOnly(t *testing.T) {
 	obs := &countingObserver{}
 	tier := newMemTier()
-	s := New(Options{Workers: 2, Observer: obs, Tier: tier})
+	s := New(Options{Workers: 2, Observer: obs, Encode: testEncode, Tier: tier})
 	specs := testGrid()[:6]
 	batch := s.Run(nil, append(append([]Spec(nil), specs...), specs...))
 	if err := batch.Err(); err != nil {
@@ -551,7 +551,7 @@ func TestObserverSeesComputesOnly(t *testing.T) {
 	}
 	// Memo hits, then tier hits on a fresh pool over the same tier.
 	s.Run(nil, specs)
-	New(Options{Workers: 2, Observer: obs, Tier: tier}).Run(nil, specs)
+	New(Options{Workers: 2, Observer: obs, Encode: testEncode, Tier: tier}).Run(nil, specs)
 	if b := s.Run(nil, []Spec{{Flag: "mauritius", Scenario: 99}}); b.Err() == nil {
 		t.Fatal("a spec with an unknown scenario computed")
 	}

@@ -1,36 +1,41 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"sync"
 	"testing"
-
-	"flagsim/internal/sim"
 )
 
-// memTier is an in-memory Tier for tests: a map plus call counters.
+// memTier is an in-memory Tier for tests: each record's bytes plus call
+// counters. Like a disk tier it keeps bytes, not the record it was
+// handed, and reads them back as a stored record.
 type memTier struct {
 	mu   sync.Mutex
-	m    map[[sha256.Size]byte]*sim.Result
+	m    map[[sha256.Size]byte]*Record
 	gets int
 	puts int
 }
 
-func newMemTier() *memTier { return &memTier{m: make(map[[sha256.Size]byte]*sim.Result)} }
+func newMemTier() *memTier { return &memTier{m: make(map[[sha256.Size]byte]*Record)} }
 
-func (t *memTier) Get(key [sha256.Size]byte) (*sim.Result, bool) {
+func (t *memTier) Get(key [sha256.Size]byte) (*Record, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.gets++
-	res, ok := t.m[key]
-	return res, ok
+	rec, ok := t.m[key]
+	return rec, ok
 }
 
-func (t *memTier) Put(key [sha256.Size]byte, res *sim.Result) {
+func (t *memTier) Put(key [sha256.Size]byte, rec *Record) {
+	raw, err := rec.Bytes()
+	if err != nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.puts++
-	t.m[key] = res
+	t.m[key] = StoredRecord(rec.Summary, raw)
 }
 
 // TestTierWriteThroughAndHit drives the full tier lifecycle: a cold run
@@ -41,7 +46,7 @@ func TestTierWriteThroughAndHit(t *testing.T) {
 	spec := Spec{Flag: "mauritius", W: 10, H: 6, Seed: 7}
 	tier := newMemTier()
 
-	cold := New(Options{Workers: 2, Tier: tier})
+	cold := New(Options{Workers: 2, Encode: testEncode, Tier: tier})
 	b1 := cold.Run(nil, []Spec{spec})
 	if err := b1.Err(); err != nil {
 		t.Fatal(err)
@@ -55,7 +60,7 @@ func TestTierWriteThroughAndHit(t *testing.T) {
 	}
 
 	// A new process (fresh memo, same tier) must not recompute.
-	warm := New(Options{Workers: 2, Tier: tier})
+	warm := New(Options{Workers: 2, Encode: testEncode, Tier: tier})
 	b2 := warm.Run(nil, []Spec{spec})
 	if err := b2.Err(); err != nil {
 		t.Fatal(err)
@@ -66,8 +71,13 @@ func TestTierWriteThroughAndHit(t *testing.T) {
 	if b2.Cache.TierHits != 1 {
 		t.Fatalf("warm batch tier hits = %d, want 1", b2.Cache.TierHits)
 	}
-	if b2.Runs[0].Result.Makespan != b1.Runs[0].Result.Makespan {
-		t.Fatal("tier returned a different result")
+	if b2.Runs[0].Result != nil {
+		t.Fatal("a tier hit carried a live result")
+	}
+	want, _ := b1.Runs[0].Record.Bytes()
+	got, err := b2.Runs[0].Record.Bytes()
+	if err != nil || !bytes.Equal(got, want) || b2.Runs[0].Record.Summary != b1.Runs[0].Record.Summary {
+		t.Fatalf("tier returned a different record: %q (%v), want %q", got, err, want)
 	}
 	stats := warm.Stats()
 	if stats.Misses != 0 {
@@ -96,7 +106,7 @@ func TestTierWriteThroughAndHit(t *testing.T) {
 // memory only, never persisted to the tier.
 func TestTierErrorsNotWritten(t *testing.T) {
 	tier := newMemTier()
-	s := New(Options{Workers: 1, Tier: tier})
+	s := New(Options{Workers: 1, Encode: testEncode, Tier: tier})
 	bad := Spec{Flag: "no-such-flag"}
 	b := s.Run(nil, []Spec{bad})
 	if b.Err() == nil {
@@ -105,4 +115,15 @@ func TestTierErrorsNotWritten(t *testing.T) {
 	if tier.puts != 0 {
 		t.Fatalf("failed spec wrote %d tier entries, want 0", tier.puts)
 	}
+}
+
+// TestTierNeedsRecordMode: a tier stores records, so New refuses one
+// without an encoder instead of silently never consulting it.
+func TestTierNeedsRecordMode(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a Tier without Encode")
+		}
+	}()
+	New(Options{Tier: newMemTier()})
 }

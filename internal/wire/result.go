@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 
 	"flagsim/internal/sim"
+	"flagsim/internal/sweep"
 )
 
 // ProcResult is one processor's statistics in a response.
@@ -75,8 +76,11 @@ type FaultResult struct {
 }
 
 // NewSimResult flattens a library Result into the wire form.
-func NewSimResult(res *sim.Result) SimResult {
-	sum := sha256.Sum256([]byte(res.Grid.String()))
+func NewSimResult(res *sim.Result) SimResult { return newSimResult(res, res.Grid.Digest()) }
+
+// newSimResult is NewSimResult with the grid's digest already taken, so
+// it reads no grid.
+func newSimResult(res *sim.Result, gridSHA256 [sha256.Size]byte) SimResult {
 	out := SimResult{
 		Strategy:        res.Plan.Strategy,
 		MakespanNS:      int64(res.Makespan),
@@ -89,7 +93,7 @@ func NewSimResult(res *sim.Result) SimResult {
 		WaitImplementNS: int64(res.TotalWaitImplement()),
 		WaitLayerNS:     int64(res.TotalWaitLayer()),
 		PipelineFillNS:  int64(res.PipelineFill()),
-		GridSHA256:      hex.EncodeToString(sum[:]),
+		GridSHA256:      hex.EncodeToString(gridSHA256[:]),
 	}
 	if f := res.Faults; f.Any() {
 		out.Faults = &FaultResult{
@@ -127,6 +131,12 @@ func NewSimResult(res *sim.Result) SimResult {
 // iteration), so equal Results always yield equal bytes.
 func MarshalResult(res *sim.Result) ([]byte, error) {
 	return json.Marshal(NewSimResult(res))
+}
+
+// EncodeRecord is the daemons' sweep.Encoder: MarshalResult's bytes for
+// a record's slim Result, whose grid digest comes from the summary.
+func EncodeRecord(res *sim.Result, sum sweep.Summary) ([]byte, error) {
+	return json.Marshal(newSimResult(res, sum.GridSHA256))
 }
 
 // SweepRunRow is one run's compact row in a sweep response, shared by
