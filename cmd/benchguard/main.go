@@ -59,9 +59,9 @@ import (
 // pinned, plus the generated sweep cold/warm pair guarding the
 // content-addressed memo path, and the generated sweep over all three
 // executors, whose runs share one geometry per flag), and the content
-// key and the grid digest, whose allocation-flat baselines keep them at
-// 0 allocs/op.
-const guarded = "^(BenchmarkEngineStatic|BenchmarkEngineStaticNilHooks|BenchmarkEngineStaticProbed|BenchmarkEngineStaticFaults|BenchmarkEngineStaticOracle|BenchmarkEngineDynamic|BenchmarkEngineSteal|BenchmarkSweepParallel|BenchmarkServerRun|BenchmarkServerRunWarm|BenchmarkServerSweepWarm|BenchmarkServerSweepCold|BenchmarkDispatcherReport|BenchmarkDispatcherSweepWarm|BenchmarkGenFlag|BenchmarkSweepGeneratedCold|BenchmarkSweepGeneratedExecs|BenchmarkSweepGeneratedWarm|BenchmarkSpecKey|BenchmarkGridDigest)$"
+// key of a builtin and of a generated spec and the grid digest, whose
+// allocation-flat baselines keep them at 0 allocs/op.
+const guarded = "^(BenchmarkEngineStatic|BenchmarkEngineStaticNilHooks|BenchmarkEngineStaticProbed|BenchmarkEngineStaticFaults|BenchmarkEngineStaticOracle|BenchmarkEngineDynamic|BenchmarkEngineSteal|BenchmarkSweepParallel|BenchmarkServerRun|BenchmarkServerRunWarm|BenchmarkServerSweepWarm|BenchmarkServerSweepCold|BenchmarkDispatcherReport|BenchmarkDispatcherSweepWarm|BenchmarkGenFlag|BenchmarkSweepGeneratedCold|BenchmarkSweepGeneratedExecs|BenchmarkSweepGeneratedWarm|BenchmarkSpecKey|BenchmarkSpecKeyGenerated|BenchmarkGridDigest)$"
 
 // flatBytesSlack is the absolute B/op growth allowed on an
 // allocation-flat benchmark before the gate fails. A genuinely

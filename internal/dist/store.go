@@ -197,7 +197,9 @@ func (s *ResultStore) served(hits, misses int) {
 // Put stores payload under key, first-write-wins. Storing different
 // bytes under an existing key returns ErrResultMismatch and keeps the
 // original. Its first-write check is no lookup: it counts as neither a
-// hit nor a miss.
+// hit nor a miss. A stored payload is kept, not copied, as the
+// in-memory copy that Get shares: the store takes it over, and the
+// caller must not modify it afterwards.
 func (s *ResultStore) Put(key Key, payload []byte) error {
 	if existing, ok := s.read(key); ok {
 		if bytes.Equal(existing, payload) {
@@ -245,7 +247,7 @@ func (s *ResultStore) Put(key Key, payload []byte) error {
 
 	s.mu.Lock()
 	s.index[key] = int64(len(payload))
-	s.mem[key] = append([]byte(nil), payload...)
+	s.mem[key] = payload
 	s.mu.Unlock()
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"flagsim/internal/sweep"
 	"flagsim/internal/wire"
@@ -65,6 +66,31 @@ func TestTierRecordRoundTrip(t *testing.T) {
 			t.Fatalf("%s: summary %+v read back, %+v computed, want %+v",
 				spec.Label(), rec.Summary, cold.Runs[i].Record.Summary, sum)
 		}
+	}
+}
+
+// TestTierSharesRecordBytes: the disk tier's in-memory copy of a
+// computed record is the record's own bytes, not a second copy of them.
+func TestTierSharesRecordBytes(t *testing.T) {
+	tier, err := OpenDiskTier(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sweep.Spec{Flag: "mauritius", Scenario: 2, Seed: 11}
+	batch := NewWorker(WorkerConfig{Tier: tier}).Sweeper().Run(nil, []sweep.Spec{spec})
+	if err := batch.Err(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := batch.Runs[0].Record.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, ok := tier.Store().Get(spec.Key())
+	if !ok || !bytes.Equal(stored, raw) {
+		t.Fatalf("the tier holds %q, want the record's %q", stored, raw)
+	}
+	if unsafe.SliceData(stored) != unsafe.SliceData(raw) {
+		t.Fatalf("the tier holds a copy of the record's %d bytes", len(raw))
 	}
 }
 

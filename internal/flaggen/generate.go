@@ -286,6 +286,7 @@ func (b *builder) overlapped(s geom.Shape) []string {
 }
 
 func covers(s geom.Shape, w, h int) bool {
+	s = geom.Prepare(s, w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if s.Contains(geom.Pt{X: x, Y: y}, w, h) {
@@ -297,6 +298,7 @@ func covers(s geom.Shape, w, h int) bool {
 }
 
 func shapesOverlap(a, b geom.Shape, w, h int) bool {
+	a, b = geom.Prepare(a, w, h), geom.Prepare(b, w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			p := geom.Pt{X: x, Y: y}

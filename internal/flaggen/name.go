@@ -7,13 +7,15 @@ package flaggen
 // harness, the CLI — without any of those layers importing flaggen.
 //
 // ContentKey is the cache-address side of the scheme: the sweep layer
-// substitutes it for the literal name when composing sweep keys, so
-// generated-flag results are content-addressed by the grammar's hash.
+// substitutes it for the literal name when composing sweep keys
+// (through AppendContentKey, which allocates nothing), so generated-flag
+// results are content-addressed by the grammar's hash.
 // Two processes share a memoized result exactly when their default
 // grammars agree; editing the grammar misses (never corrupts) every
 // existing cache, store, and tier entry.
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strconv"
@@ -80,14 +82,16 @@ func ParseName(s string) (Ref, error) {
 }
 
 // parseCanonicalUint accepts exactly the strconv.FormatUint rendering:
-// no sign, no leading zeros (except "0" itself), fits in uint64.
+// no sign, no leading zeros (except "0" itself), fits in uint64. In base
+// 10, ParseUint accepts digits alone, so a leading zero is the only way
+// a string it accepts can differ from that rendering.
 func parseCanonicalUint(s string) (uint64, error) {
 	v, err := strconv.ParseUint(s, 10, 64)
 	if err != nil {
 		return 0, err
 	}
-	if canonical := strconv.FormatUint(v, 10); canonical != s {
-		return 0, fmt.Errorf("non-canonical integer %q (want %q)", s, canonical)
+	if len(s) > 1 && s[0] == '0' {
+		return 0, fmt.Errorf("non-canonical integer %q (want %q)", s, strconv.FormatUint(v, 10))
 	}
 	return v, nil
 }
@@ -118,15 +122,25 @@ func Generate(seed, variant uint64) (*flagspec.Flag, error) {
 // Returns ok=false for names outside the scheme or malformed — callers
 // keep the literal name and resolution fails loudly later.
 func ContentKey(name string) (string, bool) {
+	b, ok := AppendContentKey(nil, name)
+	return string(b), ok
+}
+
+// AppendContentKey appends name's content key (see ContentKey) to dst.
+// For a name that has none it returns dst unchanged and ok=false. A
+// well-formed name costs no allocation beyond dst's growth.
+func AppendContentKey(dst []byte, name string) ([]byte, bool) {
 	if !IsName(name) {
-		return "", false
+		return dst, false
 	}
 	ref, err := ParseName(name)
 	if err != nil {
-		return "", false
+		return dst, false
 	}
 	h := std.Hash()
-	return fmt.Sprintf("%s[%x]:v1:%d:%d", NamePrefix, h[:8], ref.Seed, ref.Variant), true
+	dst = hex.AppendEncode(append(dst, NamePrefix+"["...), h[:8])
+	dst = strconv.AppendUint(append(dst, "]:v1:"...), ref.Seed, 10)
+	return strconv.AppendUint(append(dst, ':'), ref.Variant, 10), true
 }
 
 // resolveCache memoizes resolved flags so hot sweep loops and the HTTP

@@ -133,9 +133,10 @@ func (f *Flag) Overlaps(w, h int) [][]int {
 	masks := make([][]bool, len(f.Layers))
 	for i, l := range f.Layers {
 		m := make([]bool, w*h)
+		shape := geom.Prepare(l.Shape, w, h)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
-				if l.Shape.Contains(geom.Pt{X: x, Y: y}, w, h) {
+				if shape.Contains(geom.Pt{X: x, Y: y}, w, h) {
 					m[y*w+x] = true
 				}
 			}

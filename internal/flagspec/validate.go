@@ -49,9 +49,10 @@ func Validate(f *Flag, w, h int, fullCoverage bool) error {
 	painted := make([]bool, w*h)
 	for _, l := range f.Layers {
 		covered := 0
+		shape := geom.Prepare(l.Shape, w, h)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
-				if l.Shape.Contains(geom.Pt{X: x, Y: y}, w, h) {
+				if shape.Contains(geom.Pt{X: x, Y: y}, w, h) {
 					covered++
 					painted[y*w+x] = true
 				}

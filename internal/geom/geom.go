@@ -154,6 +154,24 @@ type Shape interface {
 	Contains(p Pt, w, h int) bool
 }
 
+// Preparer is implemented by shapes that have per-canvas work to do
+// once rather than on every Contains call. Every loop that tests a
+// shape over a whole raster prepares it first (see Prepare).
+type Preparer interface {
+	// Prepare returns a shape whose Contains answers exactly as the
+	// receiver's does, at any size, and faster at w×h.
+	Prepare(w, h int) Shape
+}
+
+// Prepare returns s prepared for a w×h canvas when s is a Preparer, and
+// s itself otherwise.
+func Prepare(s Shape, w, h int) Shape {
+	if p, ok := s.(Preparer); ok {
+		return p.Prepare(w, h)
+	}
+	return s
+}
+
 // center maps cell p on a w×h canvas to normalized coordinates of its
 // center point.
 func center(p Pt, w, h int) (float64, float64) {
@@ -269,32 +287,72 @@ func (s Star) Contains(p Pt, w, h int) bool {
 	x, y := center(p, w, h)
 	aspect := float64(w) / float64(h)
 	// Build the 2k-gon boundary and run a point-in-polygon test.
-	k := s.Points
-	if k < 2 {
+	if s.Points < 2 {
 		return false
 	}
-	n := 2 * k
 	inside := false
-	var x0, y0, x1, y1 float64
-	for i := 0; i <= n; i++ {
-		r := s.R
-		if i%2 == 1 {
-			r *= s.Inner
+	x1, y1 := s.vertex(0, aspect)
+	for i := 1; i <= 2*s.Points; i++ {
+		x0, y0 := x1, y1
+		x1, y1 = s.vertex(i, aspect)
+		if crosses(x, y, x0, y0, x1, y1) {
+			inside = !inside
 		}
-		ang := s.Rotation - 3.14159265358979323846/2 + float64(i)*3.14159265358979323846/float64(k)
-		px := s.CX + r*cosApprox(ang)/aspect
-		py := s.CY + r*sinApprox(ang)
-		if i == 0 {
-			x1, y1 = px, py
-			continue
-		}
-		x0, y0 = x1, y1
-		x1, y1 = px, py
-		if (y0 > y) != (y1 > y) {
-			xi := x0 + (y-y0)*(x1-x0)/(y1-y0)
-			if x < xi {
-				inside = !inside
-			}
+	}
+	return inside
+}
+
+// vertex returns the i-th point of the star's boundary on a canvas of
+// the given aspect ratio: outer points at even i, inner at odd i, and
+// the first point again at i = 2·Points.
+func (s Star) vertex(i int, aspect float64) (float64, float64) {
+	r := s.R
+	if i%2 == 1 {
+		r *= s.Inner
+	}
+	ang := s.Rotation - 3.14159265358979323846/2 + float64(i)*3.14159265358979323846/float64(s.Points)
+	return s.CX + r*cosApprox(ang)/aspect, s.CY + r*sinApprox(ang)
+}
+
+// crosses reports whether a rightward ray from (x, y) crosses the edge
+// (x0, y0)-(x1, y1): the even-odd step of a point-in-polygon test.
+func crosses(x, y, x0, y0, x1, y1 float64) bool {
+	return (y0 > y) != (y1 > y) && x < x0+(y-y0)*(x1-x0)/(y1-y0)
+}
+
+// Prepare computes the star's boundary polygon for a w×h canvas once,
+// instead of once per Contains call. A star of fewer than two points
+// contains nothing and is returned as it is.
+func (s Star) Prepare(w, h int) Shape {
+	if s.Points < 2 {
+		return s
+	}
+	aspect := float64(w) / float64(h)
+	ps := &preparedStar{star: s, w: w, h: h, vs: make([][2]float64, 2*s.Points+1)}
+	for i := range ps.vs {
+		ps.vs[i][0], ps.vs[i][1] = s.vertex(i, aspect)
+	}
+	return ps
+}
+
+// preparedStar is a Star with its boundary polygon computed for one
+// canvas size; at any other size it defers to the Star.
+type preparedStar struct {
+	star Star
+	w, h int
+	vs   [][2]float64
+}
+
+// Contains runs the Star's crossing test over the stored polygon.
+func (ps *preparedStar) Contains(p Pt, w, h int) bool {
+	if w != ps.w || h != ps.h {
+		return ps.star.Contains(p, w, h)
+	}
+	x, y := center(p, w, h)
+	inside := false
+	for i := 1; i < len(ps.vs); i++ {
+		if crosses(x, y, ps.vs[i-1][0], ps.vs[i-1][1], ps.vs[i][0], ps.vs[i][1]) {
+			inside = !inside
 		}
 	}
 	return inside
@@ -379,6 +437,15 @@ func (u Union) Contains(p Pt, w, h int) bool {
 		}
 	}
 	return false
+}
+
+// Prepare prepares every member for a w×h canvas.
+func (u Union) Prepare(w, h int) Shape {
+	out := make(Union, len(u))
+	for i, s := range u {
+		out[i] = Prepare(s, w, h)
+	}
+	return out
 }
 
 // sin/cos via math would be fine; small wrappers keep the import local to

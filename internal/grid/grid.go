@@ -218,10 +218,11 @@ func Rasterize(f *flagspec.Flag, w, h int) (*Grid, error) {
 	}
 	g := New(w, h)
 	for _, layer := range f.Layers {
+		shape := geom.Prepare(layer.Shape, w, h)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				p := geom.Pt{X: x, Y: y}
-				if layer.Shape.Contains(p, w, h) {
+				if shape.Contains(p, w, h) {
 					if err := g.Paint(p, layer.Color); err != nil {
 						return nil, fmt.Errorf("rasterize %s/%s: %w", f.Name, layer.Name, err)
 					}
@@ -243,10 +244,11 @@ func RasterizeDefault(f *flagspec.Flag) (*Grid, error) {
 func LayerCells(f *flagspec.Flag, w, h int) [][]geom.Pt {
 	out := make([][]geom.Pt, len(f.Layers))
 	for i, layer := range f.Layers {
+		shape := geom.Prepare(layer.Shape, w, h)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				p := geom.Pt{X: x, Y: y}
-				if layer.Shape.Contains(p, w, h) {
+				if shape.Contains(p, w, h) {
 					out[i] = append(out[i], p)
 				}
 			}
@@ -265,9 +267,10 @@ func VisibleLayerCells(f *flagspec.Flag, w, h int) [][]geom.Pt {
 		top[i] = -1
 	}
 	for li, layer := range f.Layers {
+		shape := geom.Prepare(layer.Shape, w, h)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
-				if layer.Shape.Contains(geom.Pt{X: x, Y: y}, w, h) {
+				if shape.Contains(geom.Pt{X: x, Y: y}, w, h) {
 					top[y*w+x] = li
 				}
 			}

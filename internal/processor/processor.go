@@ -9,6 +9,14 @@
 // colored so far in the session. The counter persists across scenario runs
 // within a session, so re-running scenario 1 is faster for the same reason
 // the classroom's was.
+//
+// Every fresh team walks the same warmup curve, so DefaultProfile's curve
+// is computed once, at package initialization, with the same expression
+// WarmupFactor would evaluate, up to the first cell count where that
+// expression gives exactly 1.0 (721 cells). WarmupFactor reads the table
+// when the processor's penalty and decay are the default pair, returns 1
+// past its end, and evaluates the expression for any other pair, so its
+// answers are bit-identical to evaluating it every time.
 package processor
 
 import (
@@ -138,8 +146,39 @@ func (pr *Processor) WarmupFactor() float64 {
 	if pr.WarmupPenalty == 0 {
 		return 1
 	}
-	return 1 + pr.WarmupPenalty*math.Exp(-float64(pr.cellsColored)/pr.WarmupDecayCells)
+	if pr.WarmupPenalty == warmup.penalty && pr.WarmupDecayCells == warmup.decay {
+		if pr.cellsColored < len(warmup.factor) {
+			return warmup.factor[pr.cellsColored]
+		}
+		return 1
+	}
+	return warmupFormula(pr.WarmupPenalty, pr.WarmupDecayCells, pr.cellsColored)
 }
+
+// warmupFormula is the warmup multiplier after n cells of practice.
+func warmupFormula(penalty, decay float64, n int) float64 {
+	return 1 + penalty*math.Exp(-float64(n)/decay)
+}
+
+// warmupTable is one (penalty, decay) pair's warmup curve: factor[n] is
+// warmupFormula at n, up to the first n where the formula gives exactly
+// 1.0. Past that n the formula stays 1.0, because the exponential only
+// falls.
+type warmupTable struct {
+	penalty, decay float64
+	factor         []float64
+}
+
+// warmup is DefaultProfile's curve (721 entries), which every fresh team
+// walks from its first cell.
+var warmup = func() warmupTable {
+	p := DefaultProfile("")
+	t := warmupTable{penalty: p.WarmupPenalty, decay: p.WarmupDecayCells}
+	for n := 0; warmupFormula(t.penalty, t.decay, n) != 1; n++ {
+		t.factor = append(t.factor, warmupFormula(t.penalty, t.decay, n))
+	}
+	return t
+}()
 
 // ServiceTime returns the time to color cell p with the given implement and
 // advances the processor's experience and position state. The decomposition

@@ -1,6 +1,7 @@
 package processor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -61,6 +62,68 @@ func TestWarmupDisabled(t *testing.T) {
 	pr := MustNew(p, rng.New(1))
 	if pr.WarmupFactor() != 1 {
 		t.Fatalf("disabled warmup factor %v", pr.WarmupFactor())
+	}
+}
+
+// refWarmup is the warmup model as the paper states it, the reference
+// WarmupFactor must reproduce bit for bit.
+func refWarmup(penalty, decay float64, n int) float64 {
+	return 1 + penalty*math.Exp(-float64(n)/decay)
+}
+
+// TestWarmupTable: the default profile's table holds the formula bit
+// for bit and stops at the first n where the formula is exactly 1.0,
+// which it stays through n = 2²²; WarmupFactor reads the table there
+// and 1 beyond it.
+func TestWarmupTable(t *testing.T) {
+	p := DefaultProfile("P1")
+	if warmup.penalty != p.WarmupPenalty || warmup.decay != p.WarmupDecayCells {
+		t.Fatalf("table built for (%v, %v), want the default (%v, %v)",
+			warmup.penalty, warmup.decay, p.WarmupPenalty, p.WarmupDecayCells)
+	}
+	cut := len(warmup.factor)
+	if cut != 721 {
+		t.Fatalf("table holds %d entries, want 721", cut)
+	}
+	for n, f := range warmup.factor {
+		if want := refWarmup(p.WarmupPenalty, p.WarmupDecayCells, n); math.Float64bits(f) != math.Float64bits(want) || f == 1 {
+			t.Fatalf("factor[%d] = %v, formula %v", n, f, want)
+		}
+	}
+	for n := cut; n <= 1<<22; n++ {
+		if f := refWarmup(p.WarmupPenalty, p.WarmupDecayCells, n); f != 1 {
+			t.Fatalf("formula at n = %d is %v, not 1", n, f)
+		}
+	}
+	pr := MustNew(p, rng.New(1))
+	for _, n := range []int{0, 1, 20, cut - 1, cut, cut + 1, 1 << 22, 1 << 30} {
+		pr.cellsColored = n
+		if got, want := pr.WarmupFactor(), refWarmup(p.WarmupPenalty, p.WarmupDecayCells, n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("WarmupFactor at n = %d is %v, formula %v", n, got, want)
+		}
+	}
+}
+
+// TestWarmupFollowsProfileChanges: Profile is embedded and exported, so
+// a caller may change the warmup fields after New; WarmupFactor follows
+// the new values, and a zero penalty still gives 1.
+func TestWarmupFollowsProfileChanges(t *testing.T) {
+	pr := MustNew(DefaultProfile("P1"), rng.New(1))
+	for _, c := range []struct{ penalty, decay float64 }{
+		{0.5, 20}, {0.7, 20}, {0.5, 7}, {1.25, 3.5}, {0.5, 20},
+	} {
+		pr.WarmupPenalty, pr.WarmupDecayCells = c.penalty, c.decay
+		for _, n := range []int{0, 1, 2, 50, 720, 721, 5000} {
+			pr.cellsColored = n
+			if got, want := pr.WarmupFactor(), refWarmup(c.penalty, c.decay, n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("(%v, %v) at n = %d: WarmupFactor %v, formula %v", c.penalty, c.decay, n, got, want)
+			}
+		}
+	}
+	pr.WarmupPenalty = 0
+	pr.cellsColored = 3
+	if f := pr.WarmupFactor(); f != 1 {
+		t.Fatalf("zero penalty: WarmupFactor %v, want 1", f)
 	}
 }
 

@@ -24,10 +24,21 @@ import (
 	"flagsim/internal/sim"
 )
 
+// refContentKey is the fmt-built content key of a generated-flag name
+// that flaggen.AppendContentKey must reproduce inside Key.
+func refContentKey(name string) (string, bool) {
+	ref, err := flaggen.ParseName(name)
+	if err != nil {
+		return "", false
+	}
+	h := flaggen.Default().Hash()
+	return fmt.Sprintf("%s[%x]:v1:%d:%d", flaggen.NamePrefix, h[:8], ref.Seed, ref.Variant), true
+}
+
 // refKey is the fmt-built content address Key must reproduce.
 func refKey(s Spec) [sha256.Size]byte {
 	flag := s.Flag
-	if ck, ok := flaggen.ContentKey(flag); ok {
+	if ck, ok := refContentKey(flag); ok {
 		flag = ck
 	}
 	var b strings.Builder

@@ -130,21 +130,21 @@ func (s Spec) Label() string {
 // even though they describe the same run (they still cache consistently,
 // each under its own address).
 func (s Spec) Key() [sha256.Size]byte {
+	// The encoding is appended into a stack buffer, so a builtin or
+	// generated spec's key costs no allocation. Every byte is persisted
+	// (journal frames, snapshots, results/<hex> files): the golden test
+	// in key_test.go pins it against the original fmt-built encoding.
+	var buf [256]byte
+	b := strconv.AppendUint(append(buf[:0], "sweep-v1|exec="...), uint64(s.Exec), 10)
+	b = append(b, "|flag="...)
 	// Generated flags content-address by what the name denotes — the
 	// grammar's hash plus (seed, variant) — not the literal name, so a
 	// grammar change misses (never corrupts) every cached result, while
 	// builtin names keep the address they always had.
-	flag := s.Flag
-	if ck, ok := flaggen.ContentKey(flag); ok {
-		flag = ck
+	b, ok := flaggen.AppendContentKey(b, s.Flag)
+	if !ok {
+		b = append(b, s.Flag...)
 	}
-	// The encoding is appended into a stack buffer, so a builtin spec's
-	// key costs no allocation. Every byte is persisted (journal frames,
-	// snapshots, results/<hex> files): the golden test in key_test.go
-	// pins it against the original fmt-built encoding.
-	var buf [256]byte
-	b := strconv.AppendUint(append(buf[:0], "sweep-v1|exec="...), uint64(s.Exec), 10)
-	b = append(append(b, "|flag="...), flag...)
 	b = strconv.AppendInt(append(b, "|w="...), int64(s.W), 10)
 	b = strconv.AppendInt(append(b, "|h="...), int64(s.H), 10)
 	b = strconv.AppendUint(append(b, "|scen="...), uint64(s.Scenario), 10)

@@ -279,111 +279,116 @@ func (s *Sweeper) RunProbed(ctx context.Context, specs []Spec, extra ...sim.Prob
 	batch := &Result{Runs: make([]RunResult, len(specs)), Workers: s.workers}
 	var hits, misses, tierHits, tierMisses atomic.Uint64
 	share := s.newGeoShare(specs)
-	sem := make(chan struct{}, s.workers)
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer share.release(i)
-			// Acquire the worker slot before the cache lookup: the entry
-			// creator therefore always holds a slot and finishes without
-			// needing another, so waiters parked on e.done cannot starve
-			// the compute they are waiting for.
-			s.queued.Add(1)
-			sem <- struct{}{}
-			s.queued.Add(-1)
-			s.running.Add(1)
-			defer func() { s.running.Add(-1); <-sem }()
-
-			key := specs[i].Key()
-			for {
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						batch.Runs[i] = RunResult{Spec: specs[i],
-							Err: fmt.Errorf("%w before start: %v", sim.ErrCanceled, err)}
-						return
-					}
-				}
-				s.mu.Lock()
-				e, cached := s.cache[key]
-				if !cached {
-					e = &entry{done: make(chan struct{})}
-					s.cache[key] = e
-				}
-				s.mu.Unlock()
-
-				if !cached {
-					// Memo miss: consult the second tier before burning a
-					// compute. A tier hit never runs the engine (probes stay
-					// silent, like any cache hit) and is promoted into the
-					// memo by publishing through the entry as usual.
-					if s.tier != nil {
-						if rec, ok := s.tier.Get(key); ok {
-							e.rec = rec
-							close(e.done)
-							tierHits.Add(1)
-							s.tierHits.Add(1)
-							batch.Runs[i] = RunResult{Spec: specs[i], Record: rec, CacheHit: true}
-							return
-						}
-						tierMisses.Add(1)
-						s.tierMisses.Add(1)
-					}
-					t0 := time.Now()
-					var res *sim.Result
-					if f, geo, err := share.resolve(i); err != nil {
-						e.err = err
-					} else {
-						res, e.err = specs[i].runOn(ctx, probes, f, geo)
-					}
-					elapsed := time.Since(t0)
-					if e.err == nil {
-						if s.encode != nil {
-							e.rec = newRecord(res, s.encode)
-						} else {
-							e.res = res
-						}
-						if s.tier != nil {
-							// Write-through: the tier persists what the
-							// memo only remembers for the process lifetime.
-							// Errors are memoized in memory but never
-							// tiered — a disk tier must hold only verified
-							// results.
-							s.tier.Put(key, e.rec)
-						}
-						if s.observer != nil {
-							s.observer.ObserveResult(res)
-						}
-					}
-					if e.err != nil && errors.Is(e.err, sim.ErrCanceled) {
-						// Never memoize a canceled compute: evict before
-						// publishing so retrying waiters re-enter the
-						// lookup as fresh creators.
-						s.mu.Lock()
-						delete(s.cache, key)
-						s.mu.Unlock()
-						s.evictions.Add(1)
-					}
-					close(e.done)
-					misses.Add(1)
-					s.misses.Add(1)
-					batch.Runs[i] = RunResult{Spec: specs[i], Result: res, Record: e.rec, Err: e.err, Elapsed: elapsed}
+	// one runs spec i on the calling crew member.
+	one := func(i int) {
+		key := specs[i].Key()
+		for {
+			if ctx != nil {
+				if err := ctx.Err(); err != nil {
+					batch.Runs[i] = RunResult{Spec: specs[i],
+						Err: fmt.Errorf("%w before start: %v", sim.ErrCanceled, err)}
 					return
 				}
+			}
+			s.mu.Lock()
+			e, cached := s.cache[key]
+			if !cached {
+				e = &entry{done: make(chan struct{})}
+				s.cache[key] = e
+			}
+			s.mu.Unlock()
 
-				<-e.done
-				if e.err != nil && errors.Is(e.err, sim.ErrCanceled) {
-					// The creator's context died mid-compute; this spec is
-					// still wanted, so retry as the new creator.
-					continue
+			if !cached {
+				// Memo miss: consult the second tier before burning a
+				// compute. A tier hit never runs the engine (probes stay
+				// silent, like any cache hit) and is promoted into the
+				// memo by publishing through the entry as usual.
+				if s.tier != nil {
+					if rec, ok := s.tier.Get(key); ok {
+						e.rec = rec
+						close(e.done)
+						tierHits.Add(1)
+						s.tierHits.Add(1)
+						batch.Runs[i] = RunResult{Spec: specs[i], Record: rec, CacheHit: true}
+						return
+					}
+					tierMisses.Add(1)
+					s.tierMisses.Add(1)
 				}
-				hits.Add(1)
-				s.hits.Add(1)
-				batch.Runs[i] = RunResult{Spec: specs[i], Result: e.res, Record: e.rec, Err: e.err, CacheHit: true}
+				t0 := time.Now()
+				var res *sim.Result
+				if f, geo, err := share.resolve(i); err != nil {
+					e.err = err
+				} else {
+					res, e.err = specs[i].runOn(ctx, probes, f, geo)
+				}
+				elapsed := time.Since(t0)
+				if e.err == nil {
+					if s.encode != nil {
+						e.rec = newRecord(res, s.encode)
+					} else {
+						e.res = res
+					}
+					if s.tier != nil {
+						// Write-through: the tier persists what the
+						// memo only remembers for the process lifetime.
+						// Errors are memoized in memory but never
+						// tiered — a disk tier must hold only verified
+						// results.
+						s.tier.Put(key, e.rec)
+					}
+					if s.observer != nil {
+						s.observer.ObserveResult(res)
+					}
+				}
+				if e.err != nil && errors.Is(e.err, sim.ErrCanceled) {
+					// Never memoize a canceled compute: evict before
+					// publishing so retrying waiters re-enter the
+					// lookup as fresh creators.
+					s.mu.Lock()
+					delete(s.cache, key)
+					s.mu.Unlock()
+					s.evictions.Add(1)
+				}
+				close(e.done)
+				misses.Add(1)
+				s.misses.Add(1)
+				batch.Runs[i] = RunResult{Spec: specs[i], Result: res, Record: e.rec, Err: e.err, Elapsed: elapsed}
 				return
 			}
-		}(i)
+
+			<-e.done
+			if e.err != nil && errors.Is(e.err, sim.ErrCanceled) {
+				// The creator's context died mid-compute; this spec is
+				// still wanted, so retry as the new creator.
+				continue
+			}
+			hits.Add(1)
+			s.hits.Add(1)
+			batch.Runs[i] = RunResult{Spec: specs[i], Result: e.res, Record: e.rec, Err: e.err, CacheHit: true}
+			return
+		}
+	}
+	// A crew of at most Workers goroutines takes the specs in input
+	// order. Each member is one worker slot, held for every spec it
+	// runs, so an entry's creator always holds a slot and finishes
+	// without needing another: waiters parked on e.done cannot starve
+	// the compute they are waiting for.
+	var next atomic.Int64
+	s.queued.Add(int64(len(specs)))
+	var wg sync.WaitGroup
+	for range min(s.workers, len(specs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(specs); i = int(next.Add(1) - 1) {
+				s.queued.Add(-1)
+				s.running.Add(1)
+				one(i)
+				s.running.Add(-1)
+				share.release(i)
+			}
+		}()
 	}
 	wg.Wait()
 	batch.Wall = time.Since(start)

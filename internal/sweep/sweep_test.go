@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,18 +157,28 @@ func TestSweepMemoizesErrors(t *testing.T) {
 	}
 }
 
+// TestSweepCanceledBeforeStart: with the context canceled before a batch
+// larger than the pool, every spec fails with ErrCanceled before start,
+// in input order, nothing is computed or cached, and the pool drains.
 func TestSweepCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sw := New(Options{Workers: 2})
-	batch := sw.Run(ctx, testGrid())
+	specs := testGrid()
+	batch := sw.Run(ctx, specs)
 	for i, run := range batch.Runs {
-		if !errors.Is(run.Err, sim.ErrCanceled) {
-			t.Fatalf("run %d: err = %v, want ErrCanceled", i, run.Err)
+		if !errors.Is(run.Err, sim.ErrCanceled) || !strings.Contains(run.Err.Error(), "before start") {
+			t.Fatalf("run %d: err = %v, want ErrCanceled before start", i, run.Err)
+		}
+		if run.Spec.Key() != specs[i].Key() {
+			t.Fatalf("run %d holds %s, want %s", i, run.Spec.Label(), specs[i].Label())
 		}
 	}
-	if stats := sw.Stats(); stats.Entries != 0 {
-		t.Fatalf("canceled batch left %d cache entries", stats.Entries)
+	if stats := sw.Stats(); stats.Entries != 0 || batch.Cache != (CacheStats{}) {
+		t.Fatalf("canceled batch tallied %+v and left %d cache entries", batch.Cache, stats.Entries)
+	}
+	if running, queued := sw.PoolDepth(); running != 0 || queued != 0 {
+		t.Fatalf("drained pool reports running=%d queued=%d", running, queued)
 	}
 }
 

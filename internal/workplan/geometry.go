@@ -30,10 +30,11 @@ type Geometry struct {
 }
 
 // NewGeometry rasterizes f at w×h with one Shape.Contains test per layer
-// per cell. The cells equal grid.LayerCells(f, w, h), the dependencies
-// are each layer's explicit DependsOn plus the earlier layers it
-// overlaps (flagspec.Flag.Overlaps), sorted, and the reference grid is
-// what grid.Rasterize(f, w, h) returns, errors included.
+// per cell, on each layer's shape prepared for w×h (geom.Prepare). The
+// cells equal grid.LayerCells(f, w, h), the dependencies are each
+// layer's explicit DependsOn plus the earlier layers it overlaps
+// (flagspec.Flag.Overlaps), sorted, and the reference grid is what
+// grid.Rasterize(f, w, h) returns, errors included.
 func NewGeometry(f *flagspec.Flag, w, h int) *Geometry {
 	nl := len(f.Layers)
 	g := &Geometry{flag: f, w: w, h: h,
@@ -58,10 +59,11 @@ func NewGeometry(f *flagspec.Flag, w, h int) *Geometry {
 		wait := waits[li*words : (li+1)*words]
 		wi, bit := li/64, uint64(1)<<(li%64)
 		n := len(all)
+		shape := geom.Prepare(layer.Shape, w, h)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				p := geom.Pt{X: x, Y: y}
-				if !layer.Shape.Contains(p, w, h) {
+				if !shape.Contains(p, w, h) {
 					continue
 				}
 				all = append(all, p)
