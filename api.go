@@ -690,7 +690,7 @@ func MakeWorkloadSchedule(seed uint64, shape TrafficShape, duration time.Duratio
 type WorkloadTrace = workload.Trace
 
 // WorkloadRunnerConfig configures open-loop firing: target URL,
-// client, speed (0 = as fast as possible), metrics, and an optional
+// client, speed (0 = as fast as possible), and an optional
 // per-response observer.
 type WorkloadRunnerConfig = workload.RunnerConfig
 

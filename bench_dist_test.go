@@ -111,6 +111,7 @@ func BenchmarkDispatcherReport(b *testing.B) {
 		}
 	}
 
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post("/v1/workers/report", reports[i])
@@ -178,6 +179,7 @@ func BenchmarkDispatcherSweepWarm(b *testing.B) {
 			first.Count, first.Computed, first.Failed, len(specs))
 	}
 
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sweep()

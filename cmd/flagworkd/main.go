@@ -1,13 +1,13 @@
 // Command flagworkd is the sweep fabric's worker: it registers with a
 // flagdispd dispatcher, leases jobs under heartbeat-renewed leases,
-// executes them on a local sweep pool, and reports the canonical result
-// bytes back. Killing a worker at any moment — even kill -9 mid-job —
+// executes them one at a time on a local sweep pool, and reports the
+// canonical result bytes back. Run more workers for more concurrency. Killing a worker at any moment — even kill -9 mid-job —
 // loses nothing: the lease expires and the dispatcher requeues the job.
 //
 // Usage:
 //
 //	flagworkd -dispatcher http://localhost:9090
-//	flagworkd -slots 4 -name rack3-7
+//	flagworkd -name rack3-7
 //	flagworkd -cache-dir /var/cache/flagwork   # local disk result tier:
 //	                                           # survives restarts, shareable
 //	flagworkd -metrics-addr 127.0.0.1:9101     # flagsim_dist_worker_* families
@@ -43,7 +43,6 @@ func main() {
 	var (
 		dispatcher  = flag.String("dispatcher", "http://localhost:9090", "flagdispd base URL")
 		name        = flag.String("name", "", "worker label on the dispatcher (default host:pid)")
-		slots       = flag.Int("slots", 0, "local execution concurrency (0 = GOMAXPROCS)")
 		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "lease duration requested per job")
 		poll        = flag.Duration("poll", 200*time.Millisecond, "idle sleep between empty lease calls")
 		cacheDir    = flag.String("cache-dir", "", "local disk result tier directory (empty = memory-only memo)")
@@ -78,7 +77,6 @@ func main() {
 	w := dist.NewWorker(dist.WorkerConfig{
 		Dispatcher:   *dispatcher,
 		Name:         *name,
-		Slots:        *slots,
 		LeaseTTL:     *leaseTTL,
 		PollInterval: *poll,
 		Tier:         tier,
@@ -106,7 +104,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("flagworkd: %s serving %s with %d slots", *name, *dispatcher, w.Sweeper().Workers())
+	log.Printf("flagworkd: %s serving %s", *name, *dispatcher)
 	if err := w.Run(ctx); err != nil && ctx.Err() == nil {
 		fmt.Fprintln(os.Stderr, "flagworkd:", err)
 		os.Exit(1)

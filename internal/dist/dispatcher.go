@@ -153,26 +153,8 @@ type Dispatcher struct {
 	phaseStore    *obs.Histogram
 	phaseEndToEnd *obs.Histogram
 
-	// rows holds each stored result's row summary (see summary).
-	rowsMu sync.Mutex
-	rows   map[Key]rowSummary
-
 	mu      sync.Mutex
 	workers map[string]*workerInfo
-}
-
-// rowSummary is what a sweep row reads from one stored result, decoded
-// once from the verified payload. A content-addressed result never
-// changes, so an entry never goes stale; it lives as long as the store's
-// RAM copy of the payload, and a store that evicts must drop the two
-// together.
-type rowSummary struct {
-	makespanNS int64
-	events     uint64
-	gridSHA256 string
-	// err is set, and kept like a memoized error, when the payload is not
-	// a wire.SimResult.
-	err error
 }
 
 // NewDispatcher opens (recovering if needed) the durable state under
@@ -198,7 +180,6 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		log: cfg.Logger,
 		now: cfg.Now, start: cfg.Now(),
 		ring:    obs.NewRing[obs.JobTimeline](cfg.JobRingSize),
-		rows:    make(map[Key]rowSummary),
 		workers: make(map[string]*workerInfo),
 	}
 	reg := obs.NewRegistry()
@@ -471,7 +452,7 @@ func (d *Dispatcher) Run(ctx context.Context, call server.RunCall) (server.Reply
 		return server.Reply{}, &server.StatusError{Code: http.StatusBadRequest, Err: errTraceLocal}
 	}
 	job := Job{KeyHex: hex.EncodeToString(call.Key[:]), Req: call.Req}
-	raw, warm := d.store.read(call.Key)
+	stored, warm := d.store.read(call.Key)
 	if warm {
 		d.store.served(1, 0)
 	} else {
@@ -482,30 +463,31 @@ func (d *Dispatcher) Run(ctx context.Context, call server.RunCall) (server.Reply
 			return server.Reply{}, &server.StatusError{Code: http.StatusUnprocessableEntity, Err: errors.New(errMsg)}
 		}
 		var ok bool
-		if raw, ok = d.store.read(call.Key); !ok {
+		if stored, ok = d.store.read(call.Key); !ok {
 			d.store.served(0, 1)
 			return server.Reply{}, errNoResult
 		}
 	}
 	return server.Reply{CacheHit: warm, Body: RunFleetResponse{
-		Key: job.KeyHex, Spec: call.Spec.Label(), RunID: call.RunID, Warm: warm, Result: raw,
+		Key: job.KeyHex, Spec: call.Spec.Label(), RunID: call.RunID, Warm: warm, Result: stored.payload,
 	}}, nil
 }
 
 // sweepKey is one distinct key of a sweep request and what every row
-// with that key says. Its err also carries the fleet's error for a
-// failed job, or errNoResult.
+// with that key says: the stored result's summary, or err, the fleet's
+// error for a failed job or errNoResult.
 type sweepKey struct {
 	key Key
 	// warm: the tier held a verified result before the request.
 	warm bool
 	// rows counts the request's rows with this key.
 	rows int
-	rowSummary
+	summary
+	err error
 }
 
-// Sweep is the fleet Backend's grid. One row-summary lookup per distinct
-// key decides whether it is warm and what its rows say; the cold keys
+// Sweep is the fleet Backend's grid. One store lookup per distinct key
+// decides whether it is warm and what its rows say; the cold keys
 // are submitted to the fleet once (a within-request duplicate still gets
 // its own row, like flagsimd's within-batch cache hits), and rows keep
 // expansion order.
@@ -521,8 +503,8 @@ func (d *Dispatcher) Sweep(ctx context.Context, call server.SweepCall) (server.R
 		if !seen {
 			j = len(keys)
 			index[key] = j
-			sum, warm := d.summary(key)
-			keys = append(keys, sweepKey{key: key, warm: warm, rowSummary: sum})
+			stored, warm := d.store.read(key)
+			keys = append(keys, sweepKey{key: key, warm: warm, summary: stored.summary})
 			if !warm {
 				cold = append(cold, Job{KeyHex: hex.EncodeToString(key[:]), Req: call.Reqs[i]})
 			}
@@ -549,8 +531,9 @@ func (d *Dispatcher) Sweep(ctx context.Context, call server.SweepCall) (server.R
 			k.err = errors.New(errMsg)
 			continue
 		}
-		var ok bool
-		if k.rowSummary, ok = d.summary(k.key); !ok {
+		if stored, ok := d.store.read(k.key); ok {
+			k.summary = stored.summary
+		} else {
 			k.err = errNoResult
 			misses += k.rows
 		}
@@ -573,35 +556,6 @@ func (d *Dispatcher) Sweep(ctx context.Context, call server.SweepCall) (server.R
 	}
 	resp.WallNS = int64(d.now().Sub(start))
 	return server.Reply{Body: resp, CacheHit: len(cold) == 0}, nil
-}
-
-// summary returns key's row summary, decoding the stored result the
-// first time a row needs it. ok is false when the store holds no
-// verified result for key — never stored, or a damaged file that
-// verify-on-read just purged; that answer is not kept, so a recomputed
-// result is found next time. The lookup counts no tier hit or miss:
-// Sweep counts the rows it serves.
-func (d *Dispatcher) summary(key Key) (sum rowSummary, ok bool) {
-	d.rowsMu.Lock()
-	sum, ok = d.rows[key]
-	d.rowsMu.Unlock()
-	if ok {
-		return sum, true
-	}
-	raw, ok := d.store.read(key)
-	if !ok {
-		return rowSummary{}, false
-	}
-	var res wire.SimResult
-	if err := wire.Decode(raw, &res); err != nil {
-		sum.err = fmt.Errorf("dist: stored result undecodable: %v", err)
-	} else {
-		sum = rowSummary{makespanNS: res.MakespanNS, events: res.Events, gridSHA256: res.GridSHA256}
-	}
-	d.rowsMu.Lock()
-	d.rows[key] = sum
-	d.rowsMu.Unlock()
-	return sum, true
 }
 
 // submit enqueues jobs durably under runID and waits until each one
@@ -729,8 +683,8 @@ func (d *Dispatcher) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Persist before journaling completion: a crash between the two is
-	// self-healed at recovery (the store has the key → job marked done).
-	if err := d.store.Put(key, req.Result); err != nil {
+	// self-healed at recovery (the store has the key → job completed).
+	if err := d.store.put(key, req.result); err != nil {
 		if errors.Is(err, ErrResultMismatch) {
 			// The fleet disagreed about a pure function. Keep the first
 			// result, complete the job (a verified result exists), and

@@ -76,7 +76,6 @@ func startWorkers(t *testing.T, f *testFleet, n int, hook func(Job) bool) func()
 		w := NewWorker(WorkerConfig{
 			Dispatcher:   f.srv.URL,
 			Name:         "e2e-worker",
-			Slots:        2,
 			LeaseTTL:     300 * time.Millisecond,
 			PollInterval: 10 * time.Millisecond,
 			Client:       &http.Client{Timeout: 5 * time.Second},

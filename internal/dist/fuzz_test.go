@@ -71,13 +71,17 @@ func FuzzDistWireDecode(f *testing.F) {
 		check(t, "DecodeRenew", err)
 		_, err = DecodeReport(raw)
 		check(t, "DecodeReport", err)
-		if rec, err := decodeRecord(raw); err == nil {
-			// An accepted stored record serves exactly the stored bytes.
-			if got, err := rec.Bytes(); err != nil || string(got) != string(raw) {
-				t.Errorf("accepted record serves %q (%v), stored %q", got, err, raw)
+		if e, err := decodeResult(raw); err == nil {
+			// An accepted stored result serves exactly the stored bytes,
+			// and its row carries a digest the tier can read back.
+			if string(e.payload) != string(raw) {
+				t.Errorf("accepted result serves %q, stored %q", e.payload, raw)
+			}
+			if _, err := ParseKey(e.gridSHA256); err != nil {
+				t.Errorf("accepted result has grid digest %q: %v", e.gridSHA256, err)
 			}
 		} else {
-			check(t, "decodeRecord", err)
+			check(t, "decodeResult", err)
 		}
 	})
 }

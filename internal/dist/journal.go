@@ -14,12 +14,12 @@ package dist
 //
 // Each journal frame is u32 length | u8 op | payload, where length
 // covers op+payload. opEnqueue's payload is the job's JSON; opComplete's
-// is key[32] | u8 ok | error message. Completes for unknown keys are
-// no-ops on replay: they arise legitimately when a snapshot already
-// dropped the job. An enqueue of a key that an earlier frame completed
-// makes the job pending again: the queue re-admitted it because its
-// stored result was purged (see Queue.Enqueue). Any other enqueue of a
-// known key is a no-op.
+// is key[32] | u8 ok | error message. Replay applies the queue's own
+// rule: an enqueue frame makes a key the queue does not hold pending, an
+// ok completion drops the job and a failed one keeps it with its error.
+// So an enqueue after an ok completion (a purged result re-admitted)
+// is pending again. An enqueue of a held key, and a completion of a key
+// not held (a snapshot already dropped it), are no-ops.
 
 import (
 	"encoding/binary"
@@ -223,38 +223,13 @@ type snapshotFile struct {
 	Jobs    []Job `json:"jobs"`
 }
 
-// writeSnapshot atomically replaces the snapshot: write to a temp file,
-// fsync it, rename into place, fsync the directory. A crash at any point
-// leaves either the old or the new snapshot intact, never a mix.
+// writeSnapshot atomically replaces the snapshot.
 func writeSnapshot(dir string, jobs []Job) error {
 	data, err := json.Marshal(snapshotFile{Version: 1, Jobs: jobs})
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, snapshotName+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, snapshotName)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return syncDir(dir)
+	return writeFileAtomic(filepath.Join(dir, snapshotName), data)
 }
 
 // loadSnapshot reads the snapshot; a missing file is an empty queue, a
@@ -287,6 +262,33 @@ func loadSnapshot(dir string) ([]Job, error) {
 		}
 	}
 	return snap.Jobs, nil
+}
+
+// writeFileAtomic replaces path with data: write a temp file beside it,
+// fsync it, rename it into place, fsync the directory. A crash at any
+// point leaves either the old or the new file intact, never a mix, plus
+// at most a stray "<name>.tmp*" file that no reader takes for an entry.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so a rename within it is durable.

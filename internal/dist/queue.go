@@ -12,6 +12,10 @@ package dist
 // journals only the two transitions that matter (enqueued, completed)
 // and keeps the fsync count at one per enqueue batch and one per
 // completion.
+//
+// The queue holds only outstanding and failed jobs. A job that
+// completes ok leaves it: the result store is the only record of a
+// finished job, so "done" means "stored".
 
 import (
 	"fmt"
@@ -31,9 +35,23 @@ type jobState uint8
 const (
 	statePending jobState = iota
 	stateLeased
-	stateDone
 	stateFailed
 )
+
+// queued is one job the queue holds.
+type queued struct {
+	job   Job
+	state jobState
+	err   string        // stateFailed: the fleet's error
+	done  chan struct{} // made by the first DoneCh, closed on completion
+}
+
+// closedCh is the done channel of every key that is not outstanding.
+var closedCh = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // QueueStats is a snapshot of the queue's gauges and lifetime counters.
 type QueueStats struct {
@@ -66,19 +84,16 @@ type lease struct {
 type Queue struct {
 	dir string
 	now func() time.Time
-	// store, when non-nil, holds the results of done jobs: recovery
-	// self-heals against it and Enqueue re-admits a done job whose
-	// result it no longer holds.
+	// store, when non-nil, holds the results of completed jobs: a job
+	// whose result it holds is done. With a nil store a completed job is
+	// simply forgotten.
 	store *ResultStore
 
 	mu      sync.Mutex
 	j       *journal
-	jobs    map[Key]Job
-	state   map[Key]jobState
-	pending []Key // FIFO of statePending keys
+	jobs    map[Key]*queued // pending, leased and failed jobs
+	pending []Key           // FIFO of statePending keys
 	leases  map[string]*lease
-	errs    map[Key]string
-	waiters map[Key]chan struct{} // closed on completion (ok or failed)
 
 	enqueued, deduped, dispatched int64
 	completed, failed, expired    int64
@@ -89,8 +104,7 @@ type Queue struct {
 // OpenQueue recovers (or creates) the queue persisted under dir. store,
 // when non-nil, self-heals the one unjournaled gap: a job whose result
 // already reached the store — the dispatcher persists results before
-// journaling completion — is marked done instead of requeued. Enqueue
-// also asks it whether a done job's result still exists.
+// journaling completion — is completed instead of requeued.
 func OpenQueue(dir string, store *ResultStore, now func() time.Time) (*Queue, error) {
 	if now == nil {
 		now = time.Now
@@ -108,22 +122,13 @@ func OpenQueue(dir string, store *ResultStore, now func() time.Time) (*Queue, er
 	}
 	q := &Queue{
 		dir: dir, now: now, store: store, j: j,
-		jobs:    make(map[Key]Job),
-		state:   make(map[Key]jobState),
-		leases:  make(map[string]*lease),
-		errs:    make(map[Key]string),
-		waiters: make(map[Key]chan struct{}),
+		jobs:   make(map[Key]*queued),
+		leases: make(map[string]*lease),
 	}
-	// An enqueue frame of a done job is a re-admission (see Enqueue):
-	// the job is pending again.
 	add := func(job Job) {
-		key := job.Key()
-		if st, known := q.state[key]; known && st != stateDone {
-			return
+		if key := job.Key(); q.jobs[key] == nil {
+			q.jobs[key] = &queued{job: job}
 		}
-		q.jobs[key] = job
-		q.state[key] = statePending
-		q.pending = append(q.pending, key)
 	}
 	for _, job := range snapJobs {
 		add(job)
@@ -135,18 +140,17 @@ func OpenQueue(dir string, store *ResultStore, now func() time.Time) (*Queue, er
 		case opComplete:
 			// Completion of a key the snapshot already dropped is a
 			// legitimate no-op.
-			if _, known := q.jobs[rec.key]; !known {
-				continue
+			if _, held := q.jobs[rec.key]; held {
+				q.markComplete(rec.key, rec.ok, rec.msg)
 			}
-			q.markComplete(rec.key, rec.ok, rec.msg)
 		}
 	}
 	// Self-heal: a crash between the store write and the completion
 	// journal frame leaves a finished job looking pending. Its result is
 	// already durable, so finish it now rather than re-running it.
 	if store != nil {
-		for key, st := range q.state {
-			if st == statePending && store.Has(key) {
+		for key, qj := range q.jobs {
+			if qj.state == statePending && store.Has(key) {
 				q.markComplete(key, true, "")
 			}
 		}
@@ -174,19 +178,18 @@ func (q *Queue) Close() error {
 }
 
 // Enqueue accepts a batch of jobs, journaling new ones durably (one
-// fsync for the whole batch) before returning. Jobs whose key is
-// already known — pending, leased, failed (the error is a deterministic
-// property of the spec), or done — dedupe. The exception is a done job
-// whose result the store no longer holds, because verify-on-read purged
-// a damaged file: it is re-admitted under a fresh enqueue frame and
-// computed again.
+// fsync for the whole batch) before returning. A job the queue holds —
+// pending, leased or failed (the error is a deterministic property of
+// the spec) — or whose result the store holds dedupes. Any other job is
+// admitted, including one whose stored result verify-on-read purged: it
+// is computed again.
 func (q *Queue) Enqueue(jobs []Job) (added, deduped int, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var fresh []Key
 	for _, job := range jobs {
 		key := job.Key()
-		if st, known := q.state[key]; known && !q.resultLost(st, key) {
+		if _, held := q.jobs[key]; held || q.stored(key) {
 			deduped++
 			q.deduped++
 			continue
@@ -194,8 +197,7 @@ func (q *Queue) Enqueue(jobs []Job) (added, deduped int, err error) {
 		if err := q.j.appendEnqueue(job); err != nil {
 			return added, deduped, err
 		}
-		q.jobs[key] = job
-		q.state[key] = statePending
+		q.jobs[key] = &queued{job: job}
 		fresh = append(fresh, key)
 		added++
 		q.enqueued++
@@ -211,10 +213,9 @@ func (q *Queue) Enqueue(jobs []Job) (added, deduped int, err error) {
 	return added, deduped, nil
 }
 
-// resultLost reports whether a job in state st is done but its result
-// has left the store; q.mu must be held.
-func (q *Queue) resultLost(st jobState, key Key) bool {
-	return st == stateDone && q.store != nil && !q.store.Has(key)
+// stored reports whether the store holds key's result.
+func (q *Queue) stored(key Key) bool {
+	return q.store != nil && q.store.Has(key)
 }
 
 // Lease hands the oldest pending job to worker under a lease of the
@@ -226,14 +227,15 @@ func (q *Queue) Lease(worker string, ttl time.Duration) (leaseID string, job Job
 	for len(q.pending) > 0 {
 		key := q.pending[0]
 		q.pending = q.pending[1:]
-		if q.state[key] != statePending {
+		qj, held := q.jobs[key]
+		if !held || qj.state != statePending {
 			continue // completed or leased while queued twice; skip
 		}
 		id := obs.NewRunID()
-		q.state[key] = stateLeased
+		qj.state = stateLeased
 		q.leases[id] = &lease{id: id, key: key, worker: worker, deadline: q.now().Add(ttl)}
 		q.dispatched++
-		return id, q.jobs[key], true
+		return id, qj.job, true
 	}
 	return "", Job{}, false
 }
@@ -256,8 +258,10 @@ func (q *Queue) Renew(leaseID string, ttl time.Duration) (key Key, worker string
 
 // Complete records a job's outcome durably (journaled and fsynced) and
 // wakes every waiter. Reports against an expired or unknown lease are
-// still accepted when the key matches a known, uncompleted job: the
-// result of a pure spec is valid no matter which lease computed it.
+// still accepted while the job is outstanding: the result of a pure spec
+// is valid no matter which lease computed it. A report for a job that is
+// not outstanding changes nothing: the first report won, and callers
+// check Known before they report.
 func (q *Queue) Complete(leaseID string, key Key, ok bool, errMsg string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -267,12 +271,8 @@ func (q *Queue) Complete(leaseID string, key Key, ok bool, errMsg string) error 
 		}
 		delete(q.leases, leaseID)
 	}
-	st, known := q.state[key]
-	if !known {
-		return fmt.Errorf("%w: report for unknown job", ErrWire)
-	}
-	if st == stateDone || st == stateFailed {
-		return nil // duplicate report; the first one won
+	if qj, held := q.jobs[key]; !held || qj.state == stateFailed {
+		return nil
 	}
 	if err := q.j.appendComplete(key, ok, errMsg); err != nil {
 		return err
@@ -290,37 +290,40 @@ func (q *Queue) Complete(leaseID string, key Key, ok bool, errMsg string) error 
 	return nil
 }
 
-// DoneCh returns a channel closed when key completes (either way). For
-// an already-completed key the channel is born closed.
+// DoneCh returns a channel closed when key completes (either way). For a
+// key that is not pending or leased the channel is born closed.
 func (q *Queue) DoneCh(key Key) <-chan struct{} {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	ch, ok := q.waiters[key]
-	if !ok {
-		ch = make(chan struct{})
-		q.waiters[key] = ch
-		if st := q.state[key]; st == stateDone || st == stateFailed {
-			close(ch)
-		}
+	qj, held := q.jobs[key]
+	if !held || qj.state == stateFailed {
+		return closedCh
 	}
-	return ch
+	if qj.done == nil {
+		qj.done = make(chan struct{})
+	}
+	return qj.done
 }
 
-// Status reports a key's completion: done is true once the job finished,
-// with errMsg non-empty when it failed.
+// Status reports a key's completion: done is true unless the job is
+// pending or leased, with errMsg non-empty when it failed.
 func (q *Queue) Status(key Key) (done bool, errMsg string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	st := q.state[key]
-	return st == stateDone || st == stateFailed, q.errs[key]
+	qj, held := q.jobs[key]
+	if !held {
+		return true, ""
+	}
+	return qj.state == stateFailed, qj.err
 }
 
-// Known reports whether the queue has ever accepted key (any state).
+// Known reports whether the queue holds key or the store holds its
+// result.
 func (q *Queue) Known(key Key) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	_, ok := q.jobs[key]
-	return ok
+	_, held := q.jobs[key]
+	return held || q.stored(key)
 }
 
 // PendingJobs snapshots the dispatchable jobs in FIFO order. Used after
@@ -332,8 +335,8 @@ func (q *Queue) PendingJobs() []Job {
 	defer q.mu.Unlock()
 	out := make([]Job, 0, len(q.pending))
 	for _, key := range q.pending {
-		if q.state[key] == statePending {
-			out = append(out, q.jobs[key])
+		if qj, held := q.jobs[key]; held && qj.state == statePending {
+			out = append(out, qj.job)
 		}
 	}
 	return out
@@ -353,8 +356,8 @@ func (q *Queue) Stats() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	depth := 0
-	for _, st := range q.state {
-		if st == statePending {
+	for _, qj := range q.jobs {
+		if qj.state == statePending {
 			depth++
 		}
 	}
@@ -375,8 +378,8 @@ func (q *Queue) expireLocked() int {
 			continue
 		}
 		delete(q.leases, id)
-		if q.state[l.key] == stateLeased {
-			q.state[l.key] = statePending
+		if qj, held := q.jobs[l.key]; held && qj.state == stateLeased {
+			qj.state = statePending
 			q.pending = append(q.pending, l.key)
 		}
 		q.expired++
@@ -385,16 +388,17 @@ func (q *Queue) expireLocked() int {
 	return n
 }
 
-// markComplete flips a job's terminal state and wakes waiters; q.mu
-// must be held. It does not journal — callers that need durability
-// journal first.
+// markComplete records the outcome of a job the queue holds and wakes
+// its waiters; q.mu must be held. An ok job leaves the queue; a failed
+// one stays, with its error, so it still dedupes. It does not journal —
+// callers that need durability journal first.
 func (q *Queue) markComplete(key Key, ok bool, errMsg string) {
+	qj := q.jobs[key]
 	if ok {
-		q.state[key] = stateDone
+		delete(q.jobs, key)
 		q.completed++
 	} else {
-		q.state[key] = stateFailed
-		q.errs[key] = errMsg
+		qj.state, qj.err = stateFailed, errMsg
 		q.failed++
 	}
 	for id, l := range q.leases {
@@ -402,18 +406,17 @@ func (q *Queue) markComplete(key Key, ok bool, errMsg string) {
 			delete(q.leases, id)
 		}
 	}
-	if ch, present := q.waiters[key]; present {
-		close(ch)
-		delete(q.waiters, key)
+	if qj.done != nil {
+		close(qj.done)
 	}
 }
 
-// rebuildPending recomputes the FIFO from state in stable (insertion
-// irrelevant post-recovery) key order; q.mu must be held.
+// rebuildPending recomputes the FIFO from the held jobs (insertion
+// order is irrelevant post-recovery); q.mu must be held.
 func (q *Queue) rebuildPending() {
 	q.pending = q.pending[:0]
-	for key, st := range q.state {
-		if st == statePending {
+	for key, qj := range q.jobs {
+		if qj.state == statePending {
 			q.pending = append(q.pending, key)
 		}
 	}
@@ -425,9 +428,9 @@ func (q *Queue) rebuildPending() {
 // journal whose operations are all no-ops against the new snapshot.
 func (q *Queue) compactLocked() error {
 	var outstanding []Job
-	for key, st := range q.state {
-		if st == statePending || st == stateLeased {
-			outstanding = append(outstanding, q.jobs[key])
+	for _, qj := range q.jobs {
+		if qj.state != stateFailed {
+			outstanding = append(outstanding, qj.job)
 		}
 	}
 	if err := writeSnapshot(q.dir, outstanding); err != nil {

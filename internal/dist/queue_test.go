@@ -203,7 +203,7 @@ func TestQueueSelfHealFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash after the store write, before Complete: only the store knows.
-	if err := store.Put(j.Key(), []byte(`{"pretend":"result"}`)); err != nil {
+	if err := store.Put(j.Key(), testResult(9)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -249,10 +249,10 @@ func TestQueueCompaction(t *testing.T) {
 	}
 }
 
-// TestQueueReadmitsLostResult: a done job whose result has left the
-// store (verify-on-read purged it) is admitted again under a fresh
+// TestQueueReadmitsLostResult: a completed job whose result is not in
+// the store (verify-on-read purged it) is admitted again under a fresh
 // enqueue frame, so it is recomputed and a reopened queue still holds it
-// as pending. Failed jobs and done jobs with a stored result dedupe.
+// as pending. Failed jobs and jobs with a stored result dedupe.
 func TestQueueReadmitsLostResult(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
@@ -274,7 +274,7 @@ func TestQueueReadmitsLostResult(t *testing.T) {
 		case failed.KeyHex:
 			err = q.Complete(leaseID, job.Key(), false, "engine rejected the spec")
 		case kept.KeyHex:
-			if err := store.Put(job.Key(), []byte(`{"pretend":"result"}`)); err != nil {
+			if err := store.Put(job.Key(), testResult(2)); err != nil {
 				t.Fatal(err)
 			}
 			err = q.Complete(leaseID, job.Key(), true, "")
@@ -345,5 +345,78 @@ func TestQueueReplaysEnqueueAfterComplete(t *testing.T) {
 	}
 	if st := q.Stats(); st.Depth != 1 || st.Recovered != 1 {
 		t.Fatalf("replayed queue stats %+v, want one recovered pending job", st)
+	}
+}
+
+// TestQueueDoneMeansStored: an ok completion leaves the queue holding
+// nothing for the key, so whether the job is done — for Enqueue, DoneCh,
+// Status and Known — is whether the store holds its result.
+func TestQueueDoneMeansStored(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenResultStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := openTestQueue(t, dir, store, newFakeClock())
+	defer q.Close()
+	j := testJob(t, 5)
+	if q.Known(j.Key()) {
+		t.Fatal("a never-enqueued, unstored key is known")
+	}
+	if _, _, err := q.Enqueue([]Job{j}); err != nil {
+		t.Fatal(err)
+	}
+	done := q.DoneCh(j.Key())
+	if isDone, _ := q.Status(j.Key()); isDone || !q.Known(j.Key()) {
+		t.Fatal("a pending job reads as done or unknown")
+	}
+	leaseID, _, ok := q.Lease("w", time.Minute)
+	if !ok {
+		t.Fatal("lease failed")
+	}
+	if err := store.Put(j.Key(), testResult(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Complete(leaseID, j.Key(), true, ""); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	default:
+		t.Fatal("completion did not close the waiter's channel")
+	}
+	if len(q.jobs) != 0 {
+		t.Fatalf("the queue still holds %d jobs after an ok completion", len(q.jobs))
+	}
+	if st := q.Stats(); st.Completed != 1 || st.Depth != 0 || st.Leased != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+	// Stored: done, known, and a re-enqueue dedupes.
+	if isDone, errMsg := q.Status(j.Key()); !isDone || errMsg != "" || !q.Known(j.Key()) {
+		t.Fatal("a stored job reads as not done or unknown")
+	}
+	select {
+	case <-q.DoneCh(j.Key()):
+	default:
+		t.Fatal("DoneCh of a stored job is not born closed")
+	}
+	if added, deduped, err := q.Enqueue([]Job{j}); err != nil || added != 0 || deduped != 1 {
+		t.Fatalf("re-enqueue of a stored job: added %d deduped %d (%v), want 0/1", added, deduped, err)
+	}
+	// Purged: the same job is not known and is admitted again.
+	store.drop(j.Key(), store.path(j.Key()))
+	if q.Known(j.Key()) {
+		t.Fatal("a purged, completed job is known")
+	}
+	if added, deduped, err := q.Enqueue([]Job{j}); err != nil || added != 1 || deduped != 0 {
+		t.Fatalf("re-enqueue of a purged job: added %d deduped %d (%v), want 1/0", added, deduped, err)
+	}
+	select {
+	case <-q.DoneCh(j.Key()):
+		t.Fatal("DoneCh of a re-admitted job is closed")
+	default:
+	}
+	if isDone, _ := q.Status(j.Key()); isDone {
+		t.Fatal("a re-admitted job reads as done")
 	}
 }

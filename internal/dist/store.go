@@ -5,12 +5,15 @@ package dist
 // outlives processes and machines — any dispatcher pointed at the same
 // directory serves the same warm set, and so does any worker sharing a
 // -cache-dir (DiskTier keeps the same payloads in its own directory).
+// It is the only record of a finished job: what a stored result says is
+// decoded once, by decodeResult, into the entry every reader uses.
 //
 // File format: "FDRS" | u16 version | key[32] | u32 payloadLen |
-// payload | sha256(payload). The embedded key must match the filename
-// and the checksum must match the payload, or Get treats the file as
-// corrupt: it is deleted, counted, and reported as a miss — the caller
-// recomputes, which is always safe for content-addressed pure results.
+// payload | sha256(payload). The embedded key must match the filename,
+// the checksum must match the payload and the payload must decode as a
+// result, or Get treats the file as corrupt: it is deleted, counted, and
+// reported as a miss — the caller recomputes, which is always safe for
+// content-addressed pure results.
 //
 // Put is first-write-wins. A second Put for a key whose stored bytes
 // differ is a determinism violation (two workers disagreed about a pure
@@ -28,6 +31,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"flagsim/internal/wire"
 )
 
 const (
@@ -57,17 +62,48 @@ type StoreStats struct {
 	Mismatches int64 `json:"mismatches"`
 }
 
-// ResultStore is a disk-backed content-addressed byte store. It is safe
-// for concurrent use.
+// summary is what a sweep row reads from a stored result: its makespan,
+// its event count and its grid digest, kept as the hex string the row
+// carries.
+type summary struct {
+	makespanNS int64
+	events     uint64
+	gridSHA256 string
+}
+
+// entry is one stored result: its canonical bytes and their summary.
+type entry struct {
+	payload []byte
+	summary
+}
+
+// decodeResult is the one decoder of a stored result: the payload must
+// decode strictly as a wire.SimResult whose grid digest is 64 hex
+// digits. Failures wrap ErrWire.
+func decodeResult(payload []byte) (entry, error) {
+	var res wire.SimResult
+	if err := strictUnmarshal(payload, &res); err != nil {
+		return entry{}, err
+	}
+	if _, err := ParseKey(res.GridSHA256); err != nil {
+		return entry{}, err
+	}
+	return entry{payload: payload, summary: summary{
+		makespanNS: res.MakespanNS, events: res.Events, gridSHA256: res.GridSHA256,
+	}}, nil
+}
+
+// ResultStore is a disk-backed content-addressed result store. It is
+// safe for concurrent use.
 type ResultStore struct {
 	dir string
 
 	mu sync.Mutex
-	// index maps present keys to payload size; payloads themselves are
-	// cached in mem lazily on first Get (the index alone answers Has and
+	// index maps present keys to payload size; mem holds the entry of
+	// each key stored or read since open (the index alone answers Has and
 	// keeps Open cheap for large stores).
 	index map[Key]int64
-	mem   map[Key][]byte
+	mem   map[Key]entry
 
 	hits, misses, corrupt, mismatches atomic.Int64
 }
@@ -83,7 +119,7 @@ func openStore(sdir string) (*ResultStore, error) {
 	if err := os.MkdirAll(sdir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &ResultStore{dir: sdir, index: make(map[Key]int64), mem: make(map[Key][]byte)}
+	s := &ResultStore{dir: sdir, index: make(map[Key]int64), mem: make(map[Key]entry)}
 	entries, err := os.ReadDir(sdir)
 	if err != nil {
 		return nil, err
@@ -147,107 +183,88 @@ func (s *ResultStore) Stats() StoreStats {
 // a file that fails verification is deleted and reported as a miss.
 // The returned slice is shared — callers must not mutate it.
 func (s *ResultStore) Get(key Key) ([]byte, bool) {
-	data, ok := s.read(key)
+	e, ok := s.get(key)
+	return e.payload, ok
+}
+
+// get is Get returning the whole entry.
+func (s *ResultStore) get(key Key) (entry, bool) {
+	e, ok := s.read(key)
 	if ok {
 		s.hits.Add(1)
 	} else {
 		s.misses.Add(1)
 	}
-	return data, ok
+	return e, ok
 }
 
-// read is Get without the hit and miss counts, for a caller that serves
-// repeated reads from its own copy and counts them itself (served).
-func (s *ResultStore) read(key Key) ([]byte, bool) {
+// read is get without the hit and miss counts, for a caller that counts
+// what it serves itself (served).
+func (s *ResultStore) read(key Key) (entry, bool) {
 	s.mu.Lock()
-	if data, ok := s.mem[key]; ok {
+	if e, ok := s.mem[key]; ok {
 		s.mu.Unlock()
-		return data, true
+		return e, true
 	}
 	_, present := s.index[key]
 	s.mu.Unlock()
 	if !present {
-		return nil, false
+		return entry{}, false
 	}
 
 	path := s.path(key)
 	raw, err := os.ReadFile(path)
-	if err != nil {
-		s.drop(key, path)
-		return nil, false
+	var e entry
+	if err == nil {
+		e, err = decodeEntry(key, raw)
 	}
-	payload, err := decodeEntry(key, raw)
 	if err != nil {
 		s.drop(key, path)
-		return nil, false
+		return entry{}, false
 	}
 	s.mu.Lock()
-	s.mem[key] = payload
+	s.mem[key] = e
 	s.mu.Unlock()
-	return payload, true
+	return e, true
 }
 
-// served counts results answered from a caller's copy of what read
-// returned as hits, and results asked for but absent as misses.
+// served counts results answered from what read returned as hits, and
+// results asked for but absent as misses.
 func (s *ResultStore) served(hits, misses int) {
 	s.hits.Add(int64(hits))
 	s.misses.Add(int64(misses))
 }
 
-// Put stores payload under key, first-write-wins. Storing different
-// bytes under an existing key returns ErrResultMismatch and keeps the
-// original. Its first-write check is no lookup: it counts as neither a
-// hit nor a miss. A stored payload is kept, not copied, as the
-// in-memory copy that Get shares: the store takes it over, and the
-// caller must not modify it afterwards.
+// Put stores payload under key, first-write-wins. A payload that is not
+// a result (decodeResult) is refused with ErrWire before anything is
+// written. Storing different bytes under an existing key returns
+// ErrResultMismatch and keeps the original. Its first-write check is no
+// lookup: it counts as neither a hit nor a miss. A stored payload is
+// kept, not copied, as the in-memory copy that Get shares: the store
+// takes it over, and the caller must not modify it afterwards.
 func (s *ResultStore) Put(key Key, payload []byte) error {
+	e, err := decodeResult(payload)
+	if err != nil {
+		return err
+	}
+	return s.put(key, e)
+}
+
+// put is Put for an entry already decoded.
+func (s *ResultStore) put(key Key, e entry) error {
 	if existing, ok := s.read(key); ok {
-		if bytes.Equal(existing, payload) {
+		if bytes.Equal(existing.payload, e.payload) {
 			return nil
 		}
 		s.mismatches.Add(1)
 		return fmt.Errorf("%w: key %s", ErrResultMismatch, hex.EncodeToString(key[:]))
 	}
-
-	buf := make([]byte, 0, storeOverhead+len(payload))
-	buf = append(buf, storeMagic...)
-	buf = binary.BigEndian.AppendUint16(buf, storeVersion)
-	buf = append(buf, key[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	sum := sha256.Sum256(payload)
-	buf = append(buf, sum[:]...)
-
-	tmp, err := os.CreateTemp(s.dir, "put*")
-	if err != nil {
+	if err := writeFileAtomic(s.path(key), encodeEntry(key, e.payload)); err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, s.path(key)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-
 	s.mu.Lock()
-	s.index[key] = int64(len(payload))
-	s.mem[key] = payload
+	s.index[key] = int64(len(e.payload))
+	s.mem[key] = e
 	s.mu.Unlock()
 	return nil
 }
@@ -266,32 +283,44 @@ func (s *ResultStore) path(key Key) string {
 	return filepath.Join(s.dir, hex.EncodeToString(key[:]))
 }
 
+// encodeEntry frames payload as key's entry file.
+func encodeEntry(key Key, payload []byte) []byte {
+	buf := make([]byte, 0, storeOverhead+len(payload))
+	buf = append(buf, storeMagic...)
+	buf = binary.BigEndian.AppendUint16(buf, storeVersion)
+	buf = append(buf, key[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	sum := sha256.Sum256(payload)
+	return append(buf, sum[:]...)
+}
+
 // decodeEntry verifies one entry file against its expected key and
-// returns the payload.
-func decodeEntry(key Key, raw []byte) ([]byte, error) {
+// decodes its payload.
+func decodeEntry(key Key, raw []byte) (entry, error) {
 	if len(raw) < storeOverhead {
-		return nil, fmt.Errorf("entry of %d bytes", len(raw))
+		return entry{}, fmt.Errorf("entry of %d bytes", len(raw))
 	}
 	if string(raw[:4]) != storeMagic {
-		return nil, fmt.Errorf("bad magic %q", raw[:4])
+		return entry{}, fmt.Errorf("bad magic %q", raw[:4])
 	}
 	if v := binary.BigEndian.Uint16(raw[4:6]); v != storeVersion {
-		return nil, fmt.Errorf("unsupported version %d", v)
+		return entry{}, fmt.Errorf("unsupported version %d", v)
 	}
 	raw = raw[6:]
 	if !bytes.Equal(raw[:sha256.Size], key[:]) {
-		return nil, errors.New("embedded key does not match filename")
+		return entry{}, errors.New("embedded key does not match filename")
 	}
 	raw = raw[sha256.Size:]
 	n := binary.BigEndian.Uint32(raw[:4])
 	raw = raw[4:]
 	if int(n) != len(raw)-sha256.Size {
-		return nil, fmt.Errorf("payload length %d does not match file size", n)
+		return entry{}, fmt.Errorf("payload length %d does not match file size", n)
 	}
 	payload := raw[:n]
 	sum := sha256.Sum256(payload)
 	if !bytes.Equal(sum[:], raw[n:]) {
-		return nil, errors.New("payload checksum mismatch")
+		return entry{}, errors.New("payload checksum mismatch")
 	}
-	return payload, nil
+	return decodeResult(payload)
 }

@@ -3,8 +3,10 @@ package dist
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -16,13 +18,34 @@ func storeKey(b byte) Key {
 	return sha256.Sum256([]byte{b})
 }
 
+// testResult is a minimal payload the store accepts as a result,
+// distinct for each n.
+func testResult(n int) []byte {
+	return []byte(fmt.Sprintf(`{"makespan_ns":%d,"grid_sha256":"%064x"}`, n, n))
+}
+
+// writeEntry frames payload as key's entry file in the store directory
+// sdir, bypassing Put's decode: a file an older build, a damaged disk or
+// another program may have left there. The store reads it at its next
+// open.
+func writeEntry(t *testing.T, sdir string, key Key, payload []byte) {
+	t.Helper()
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(sdir, hex.EncodeToString(key[:]))
+	if err := os.WriteFile(path, encodeEntry(key, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStorePutGetAcrossOpens(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenResultStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, payload := storeKey(1), []byte(`{"makespan_ns":42}`)
+	key, payload := storeKey(1), testResult(42)
 	if _, ok := s.Get(key); ok {
 		t.Fatal("empty store claims a hit")
 	}
@@ -56,7 +79,7 @@ func TestStorePutGetAcrossOpens(t *testing.T) {
 	if err := s2.Put(key, payload); err != nil {
 		t.Fatalf("identical re-put: %v", err)
 	}
-	if err := s2.Put(key, []byte(`{"makespan_ns":43}`)); !errors.Is(err, ErrResultMismatch) {
+	if err := s2.Put(key, testResult(43)); !errors.Is(err, ErrResultMismatch) {
 		t.Fatalf("mismatched re-put error = %v, want ErrResultMismatch", err)
 	}
 	if s2.Stats().Mismatches != 1 {
@@ -84,11 +107,11 @@ func TestStorePutCountsNoLookup(t *testing.T) {
 		t.Fatalf("after a cold 6-row sweep: %+v, want 6 entries, 0 hits, 0 misses", st)
 	}
 	jobs, _ := localCanonical(t, e2eSweepRequest())
-	payload, ok := store.read(jobs[0].Key())
+	stored, ok := store.read(jobs[0].Key())
 	if !ok {
 		t.Fatal("no stored result for the sweep's first row")
 	}
-	if err := store.Put(jobs[0].Key(), payload); err != nil {
+	if err := store.Put(jobs[0].Key(), stored.payload); err != nil {
 		t.Fatal(err)
 	}
 	if st := store.Stats(); st.Hits != 0 || st.Misses != 0 {
@@ -144,7 +167,7 @@ func TestStoreCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := storeKey(2)
-	if err := s.Put(key, []byte("deterministic result bytes")); err != nil {
+	if err := s.Put(key, testResult(2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,7 +201,7 @@ func TestStoreCorruptionDetected(t *testing.T) {
 		t.Fatal("corrupt entry not removed from disk")
 	}
 	// The key is re-puttable after the purge (recompute path).
-	if err := s2.Put(key, []byte("deterministic result bytes")); err != nil {
+	if err := s2.Put(key, testResult(2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s2.Get(key); !ok {
@@ -194,7 +217,7 @@ func TestStoreWrongKeyFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(storeKey(3), []byte("payload three")); err != nil {
+	if err := s.Put(storeKey(3), testResult(3)); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ := os.ReadDir(filepath.Join(dir, storeDirName))
@@ -212,5 +235,35 @@ func TestStoreWrongKeyFile(t *testing.T) {
 	}
 	if s2.Stats().Corrupt != 1 {
 		t.Fatal("aliased entry not counted corrupt")
+	}
+}
+
+// TestStorePutRefusesNonResults: a payload that is not a result is
+// refused with ErrWire before anything is written, so no reader ever
+// finds it.
+func TestStorePutRefusesNonResults(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenResultStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, payload := range []string{`not json`, `{"x":1}`, `{"grid_sha256":"00"}`, ``} {
+		key := storeKey(byte(10 + i))
+		if err := s.Put(key, []byte(payload)); !errors.Is(err, ErrWire) {
+			t.Fatalf("Put(%q) = %v, want ErrWire", payload, err)
+		}
+		if s.Has(key) {
+			t.Fatalf("Put(%q) left an entry", payload)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, storeDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 || s.Len() != 0 {
+		t.Fatalf("refused puts left %d files and %d entries", len(entries), s.Len())
+	}
+	if st := s.Stats(); st != (StoreStats{}) {
+		t.Fatalf("refused puts counted %+v", st)
 	}
 }

@@ -1,9 +1,10 @@
 package dist
 
 // Row summaries and purged results: a warm sweep reads each stored
-// result's three row fields from a summary decoded once, strictly, from
-// the verified payload; a result that verify-on-read purged is computed
-// again instead of failing its run or row on every retry.
+// result's three row fields from the store's entry, decoded once,
+// strictly, from the verified payload; a result that verify-on-read
+// purged is computed again instead of failing its run or row on every
+// retry.
 
 import (
 	"bufio"
@@ -103,7 +104,7 @@ func sameRows(got, want []wire.SweepRunRow) error {
 
 // coldThenRestart runs sreq cold through a two-worker fleet rooted at
 // dir, then restarts the dispatcher from dir with no workers attached:
-// every result now exists only on disk, and no row summary is cached.
+// every result now exists only on disk, and no entry is decoded yet.
 func coldThenRestart(t *testing.T, dir string, sreq wire.SweepRequest) (*testFleet, SweepFleetResponse) {
 	t.Helper()
 	f := startFleet(t, dir)
@@ -141,8 +142,8 @@ func TestWarmSweepAfterRestart(t *testing.T) {
 }
 
 // TestWarmSweepsConcurrent runs warm sweeps from 8 goroutines against a
-// restarted dispatcher, so the summaries are filled while others read
-// them; run it under -race.
+// restarted dispatcher, so the store's entries are decoded while others
+// read them; run it under -race.
 func TestWarmSweepsConcurrent(t *testing.T) {
 	sreq := e2eSweepRequest()
 	f, cold := coldThenRestart(t, t.TempDir(), sreq)
@@ -176,33 +177,119 @@ func TestWarmSweepsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestUndecodableStoredResult: a correctly framed and checksummed payload
-// that is not a wire.SimResult fails its row with a decode error, on
-// every sweep — never a row of zeros, and never a recompute (the store
-// does hold a verified result for the key).
+// TestUndecodableStoredResult: a framed, checksummed result file whose
+// payload is not a wire.SimResult is corrupt, like one with a bad
+// checksum. /v1/sweep and /v1/run each purge it, count it in Corrupt
+// and recompute the single-process bytes; the next request is warm.
 func TestUndecodableStoredResult(t *testing.T) {
-	f := startFleet(t, t.TempDir())
-	defer f.stop(t)
 	for i, payload := range []string{`not json`, `{"x":1}`} {
-		req := wire.RunRequest{Flag: "mauritius", Scenario: 1, Seed: uint64(100 + i)}
-		job, err := NewJob(req)
-		if err != nil {
+		for _, path := range []string{"/v1/sweep", "/v1/run"} {
+			req := wire.RunRequest{Flag: "mauritius", Scenario: 1, Seed: uint64(100 + i)}
+			spec, err := req.Spec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := spec.RunOnce(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := wire.MarshalResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			writeEntry(t, filepath.Join(dir, storeDirName), spec.Key(), []byte(payload))
+			f := startFleet(t, dir)
+			stopWorkers := startWorkers(t, f, 1, nil)
+			for pass := 0; pass < 2; pass++ {
+				warm := pass == 1
+				if path == "/v1/run" {
+					out, code, body := postRun(t, f.srv.URL, req)
+					if code != http.StatusOK || out.Warm != warm || !bytes.Equal(out.Result, want) {
+						t.Fatalf("%q %s pass %d: %d %s, want the single-process bytes %s",
+							payload, path, pass, code, body, want)
+					}
+					continue
+				}
+				resp := postSweep(t, f.srv.URL, wire.SweepRequest{Base: req})
+				row, local := resp.Runs[0], wire.NewSimResult(res)
+				if resp.Failed != 0 || resp.Computed != 1-pass || row.CacheHit != warm ||
+					row.MakespanNS != local.MakespanNS || row.Events != local.Events ||
+					row.GridSHA256 != local.GridSHA256 {
+					t.Fatalf("%q %s pass %d: %+v", payload, path, pass, resp)
+				}
+			}
+			if stored, ok := f.d.Store().Get(spec.Key()); !ok || !bytes.Equal(stored, want) {
+				t.Fatalf("%q %s: stored %q, want the single-process bytes", payload, path, stored)
+			}
+			if st := f.d.Store().Stats(); st.Corrupt != 1 || st.Mismatches != 0 {
+				t.Fatalf("%q %s: store %+v, want 1 corrupt entry and no mismatch", payload, path, st)
+			}
+			stopWorkers()
+			f.stop(t)
+		}
+	}
+}
+
+// postWorker posts one worker-protocol call and decodes a 200 reply into
+// out (when non-nil), returning the status.
+func postWorker(t *testing.T, url, path string, in, out any) int {
+	t.Helper()
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.d.Store().Put(job.Key(), []byte(payload)); err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			resp := postSweep(t, f.srv.URL, wire.SweepRequest{Base: req})
-			row := resp.Runs[0]
-			if resp.Warm != 1 || resp.Computed != 0 || resp.Failed != 1 || !row.CacheHit ||
-				!strings.HasPrefix(row.Err, "dist: stored result undecodable: ") {
-				t.Fatalf("payload %q pass %d: %+v", payload, pass, resp)
-			}
-			if row.MakespanNS != 0 || row.Events != 0 || row.GridSHA256 != "" {
-				t.Fatalf("payload %q pass %d: failed row carries fields: %+v", payload, pass, row)
-			}
-		}
+	}
+	return resp.StatusCode
+}
+
+// TestLateReportAfterJournalDropsJob: a late report whose bytes differ
+// from the stored result, arriving after the completed job has left the
+// journal (two restarts), still reaches first-write-wins: it is answered
+// 200, counted as a determinism mismatch, and the first result stays.
+func TestLateReportAfterJournalDropsJob(t *testing.T) {
+	dir := t.TempDir()
+	job := testJob(t, 77)
+	first, late := testResult(1), testResult(2)
+	f := startFleet(t, dir)
+	var reg RegisterResponse
+	if code := postWorker(t, f.srv.URL, "/v1/workers/register", RegisterRequest{Name: "w"}, &reg); code != http.StatusOK {
+		t.Fatalf("register: %d", code)
+	}
+	if _, _, err := f.d.EnqueueJobs([]Job{job}); err != nil {
+		t.Fatal(err)
+	}
+	var lease LeaseResponse
+	if code := postWorker(t, f.srv.URL, "/v1/workers/lease", LeaseRequest{WorkerID: reg.WorkerID}, &lease); code != http.StatusOK {
+		t.Fatalf("lease: %d", code)
+	}
+	report := ReportRequest{LeaseID: lease.LeaseID, WorkerID: reg.WorkerID, Key: job.KeyHex, Result: first}
+	if code := postWorker(t, f.srv.URL, "/v1/workers/report", report, nil); code != http.StatusOK {
+		t.Fatalf("first report: %d", code)
+	}
+	for restart := 0; restart < 2; restart++ {
+		f.stop(t)
+		f = startFleet(t, dir)
+	}
+	defer f.stop(t)
+	report.Result = late
+	if code := postWorker(t, f.srv.URL, "/v1/workers/report", report, nil); code != http.StatusOK {
+		t.Fatalf("late report after two restarts: %d, want 200", code)
+	}
+	if st := f.d.Store().Stats(); st.Mismatches != 1 {
+		t.Fatalf("store %+v, want the late report counted as one mismatch", st)
+	}
+	if stored, ok := f.d.Store().Get(job.Key()); !ok || !bytes.Equal(stored, first) {
+		t.Fatalf("stored %q, want the first result %q", stored, first)
 	}
 }
 
@@ -230,8 +317,8 @@ func tierHits(t *testing.T, url string) float64 {
 
 // TestTierHitsCountWarmRows: the tier-hit counter rises by one per row
 // served from the tier, duplicates within a request included, whether
-// the row's summary was just decoded (the first pass after a restart)
-// or cached.
+// the row's entry was just decoded (the first pass after a restart) or
+// already held.
 func TestTierHitsCountWarmRows(t *testing.T) {
 	sreq := e2eSweepRequest()
 	sreq.Seeds = []uint64{3, 5, 3} // 18 rows over 12 keys

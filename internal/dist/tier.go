@@ -7,11 +7,11 @@ package dist
 // one warm set.
 
 import (
+	"encoding/hex"
 	"path/filepath"
 	"time"
 
 	"flagsim/internal/sweep"
-	"flagsim/internal/wire"
 )
 
 // tierDirName is the tier's directory under -cache-dir. It stores the
@@ -22,10 +22,11 @@ import (
 const tierDirName = "records"
 
 // DiskTier adapts a ResultStore to the sweep.Tier interface. It stores
-// each record's canonical bytes (wire.MarshalResult's) and reads them
-// back as a stored record. A payload that does not decode is a miss
-// (the pool recomputes) and an encode failure skips the write-through —
-// a broken disk tier can cost time, never correctness.
+// each record's canonical bytes (wire.MarshalResult's) with its summary,
+// and reads a stored entry back as a record, with no decode per read. A
+// file that fails the store's verification is a miss (the pool
+// recomputes) and an encode failure skips the write-through — a broken
+// disk tier can cost time, never correctness.
 type DiskTier struct {
 	store *ResultStore
 }
@@ -44,15 +45,13 @@ func (t *DiskTier) Store() *ResultStore { return t.store }
 
 // Get implements sweep.Tier.
 func (t *DiskTier) Get(key Key) (*sweep.Record, bool) {
-	raw, ok := t.store.Get(key)
+	e, ok := t.store.get(key)
 	if !ok {
 		return nil, false
 	}
-	rec, err := decodeRecord(raw)
-	if err != nil {
-		return nil, false
-	}
-	return rec, true
+	digest, _ := ParseKey(e.gridSHA256) // decodeResult accepted it
+	return sweep.StoredRecord(sweep.Summary{Makespan: time.Duration(e.makespanNS),
+		Events: e.events, GridSHA256: digest}, e.payload), true
 }
 
 // Put implements sweep.Tier.
@@ -63,23 +62,10 @@ func (t *DiskTier) Put(key Key, rec *sweep.Record) {
 	}
 	// A mismatch error here means a determinism violation; the store
 	// already counted it, and keeping the original is the right call.
-	_ = t.store.Put(key, raw)
-}
-
-// decodeRecord reads a stored record back: the bytes must decode
-// strictly as a wire.SimResult, whose makespan, events and grid digest
-// are the record's summary. Failures wrap ErrWire.
-func decodeRecord(raw []byte) (*sweep.Record, error) {
-	var res wire.SimResult
-	if err := strictUnmarshal(raw, &res); err != nil {
-		return nil, err
-	}
-	digest, err := ParseKey(res.GridSHA256)
-	if err != nil {
-		return nil, err
-	}
-	return sweep.StoredRecord(sweep.Summary{Makespan: time.Duration(res.MakespanNS),
-		Events: res.Events, GridSHA256: digest}, raw), nil
+	_ = t.store.put(key, entry{payload: raw, summary: summary{
+		makespanNS: int64(rec.Makespan), events: rec.Events,
+		gridSHA256: hex.EncodeToString(rec.GridSHA256[:]),
+	}})
 }
 
 // DiskTier must satisfy sweep.Tier.

@@ -94,9 +94,9 @@ func TestTierSharesRecordBytes(t *testing.T) {
 	}
 }
 
-// TestTierRecordRejects: a stored payload that is not a wire result with
-// a 64-hex-digit grid digest is refused with ErrWire, so the tier
-// reports a miss instead of serving it.
+// TestTierRecordRejects: the store's decoder refuses, with ErrWire, a
+// payload that is not a wire result with a 64-hex-digit grid digest, so
+// a file holding one is purged instead of served.
 func TestTierRecordRejects(t *testing.T) {
 	res, err := sweep.Spec{Flag: "mauritius", Scenario: 2, Seed: 11}.RunOnce(nil)
 	if err != nil {
@@ -106,8 +106,14 @@ func TestTierRecordRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeRecord(good); err != nil {
+	e, err := decodeResult(good)
+	if err != nil {
 		t.Fatalf("wire bytes rejected: %v", err)
+	}
+	want := summary{makespanNS: int64(res.Makespan), events: res.Events,
+		gridSHA256: fmt.Sprintf("%x", res.Grid.Digest())}
+	if e.summary != want || !bytes.Equal(e.payload, good) {
+		t.Fatalf("decoded %+v, want %+v over the same bytes", e.summary, want)
 	}
 	cases := map[string]string{
 		"not json":        `{{{`,
@@ -119,7 +125,7 @@ func TestTierRecordRejects(t *testing.T) {
 		"missing payload": ``,
 	}
 	for name, raw := range cases {
-		if _, err := decodeRecord([]byte(raw)); !errors.Is(err, ErrWire) {
+		if _, err := decodeResult([]byte(raw)); !errors.Is(err, ErrWire) {
 			t.Errorf("%s: err = %v, want ErrWire", name, err)
 		}
 	}
@@ -133,15 +139,9 @@ func TestTierIgnoresOldCodecEntries(t *testing.T) {
 	dir := t.TempDir()
 	spec := sweep.Spec{Flag: "mauritius", Scenario: 2, Seed: 11}
 	key := spec.Key()
-	old, err := OpenResultStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	oldPayload := []byte(`{"v":1,"plan":{"FlagName":"mauritius","W":12,"H":8,"Strategy":"layer-blocks"},` +
 		`"makespan_ns":1,"setup_ns":0,"events":2,"faults":{},"grid_w":1,"grid_h":1,"grid_cells":"AQ==","grid_paints":1}`)
-	if err := old.Put(key, oldPayload); err != nil {
-		t.Fatal(err)
-	}
+	writeEntry(t, filepath.Join(dir, storeDirName), key, oldPayload)
 
 	tier, err := OpenDiskTier(dir)
 	if err != nil {
@@ -167,5 +167,49 @@ func TestTierIgnoresOldCodecEntries(t *testing.T) {
 	kept, err := os.ReadFile(filepath.Join(dir, storeDirName, fmt.Sprintf("%x", key[:])))
 	if err != nil || !bytes.Contains(kept, oldPayload) {
 		t.Fatalf("the old entry was disturbed: %v", err)
+	}
+}
+
+// TestTierPurgesUndecodableEntries: a framed, checksummed entry in a
+// worker's tier whose payload is not a result is purged, counted as
+// corrupt (not as a hit or a determinism mismatch) and recomputed; the
+// next start serves the recomputed record from disk.
+func TestTierPurgesUndecodableEntries(t *testing.T) {
+	for i, payload := range []string{`not json`, `{"x":1}`} {
+		dir := t.TempDir()
+		spec := sweep.Spec{Flag: "mauritius", Scenario: 2, Seed: uint64(40 + i)}
+		writeEntry(t, filepath.Join(dir, tierDirName), spec.Key(), []byte(payload))
+		fresh, err := spec.RunOnce(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := wire.MarshalResult(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for start := 0; start < 2; start++ {
+			tier, err := OpenDiskTier(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := NewWorker(WorkerConfig{Tier: tier}).Sweeper().Run(nil, []sweep.Spec{spec})
+			if err := batch.Err(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := batch.Runs[0].Record.Bytes()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%q start %d: served %q (%v), want %q", payload, start, got, err, want)
+			}
+			st := tier.Store().Stats()
+			if start == 0 && (batch.Cache.TierHits != 0 || batch.Cache.Misses != 1 ||
+				st != StoreStats{Entries: 1, Bytes: int64(len(want)), Misses: 1, Corrupt: 1}) {
+				t.Fatalf("%q first start: %+v, store %+v; want one compute, one miss, one corrupt entry",
+					payload, batch.Cache, st)
+			}
+			if start == 1 && (batch.Cache.TierHits != 1 || batch.Cache.Misses != 0 ||
+				st != StoreStats{Entries: 1, Bytes: int64(len(want)), Hits: 1}) {
+				t.Fatalf("%q next start: %+v, store %+v; want one tier hit", payload, batch.Cache, st)
+			}
+		}
 	}
 }

@@ -105,6 +105,8 @@ type RegisterRequest struct {
 	// purely informational.
 	Name string `json:"name"`
 	// Slots is the worker's local execution concurrency; informational.
+	// A flagworkd runs one job at a time and sends 1; the field stays so
+	// strict decoding accepts older workers that sent their pool size.
 	Slots int `json:"slots,omitempty"`
 }
 
@@ -183,6 +185,9 @@ type ReportRequest struct {
 	// successful execution; the dispatcher stitches it into the job's
 	// fleet-wide Chrome trace.
 	Trace *wire.WorkerTrace `json:"trace,omitempty"`
+
+	// result is Result as the store keeps it, decoded by DecodeReport.
+	result entry
 }
 
 // DecodeRegister strictly decodes a register payload.
@@ -253,8 +258,8 @@ func DecodeReport(raw []byte) (ReportRequest, error) {
 		return v, fmt.Errorf("%w: report: exactly one of result and err must be set", ErrWire)
 	}
 	if len(v.Result) > 0 {
-		var res wire.SimResult
-		if err := strictUnmarshal(v.Result, &res); err != nil {
+		var err error
+		if v.result, err = decodeResult(v.Result); err != nil {
 			return v, fmt.Errorf("%w: report result: %v", ErrWire, err)
 		}
 	}

@@ -30,8 +30,6 @@ type WorkerConfig struct {
 	Dispatcher string
 	// Name labels this worker on the dispatcher; default "flagworkd".
 	Name string
-	// Slots sizes the local sweep pool; <= 0 means GOMAXPROCS.
-	Slots int
 	// LeaseTTL is the lease duration requested per job; the heartbeat
 	// renews at a third of it. Default 10s.
 	LeaseTTL time.Duration
@@ -90,13 +88,15 @@ type Worker struct {
 }
 
 // NewWorker assembles a worker around its own sweep pool (memo cache
-// plus optional disk tier). The memo runs in record mode: a job's entry
-// keeps the canonical bytes its report carried, not the whole result.
+// plus optional disk tier). The pool has one worker, because Run
+// executes one leased job at a time. The memo runs in record mode: a
+// job's entry keeps the canonical bytes its report carried, not the
+// whole result.
 func NewWorker(cfg WorkerConfig) *Worker {
 	cfg = cfg.withDefaults()
 	return &Worker{
 		cfg:     cfg,
-		sweeper: sweep.New(sweep.Options{Workers: cfg.Slots, Encode: wire.EncodeRecord, Tier: cfg.Tier}),
+		sweeper: sweep.New(sweep.Options{Workers: 1, Encode: wire.EncodeRecord, Tier: cfg.Tier}),
 		log:     cfg.Logger,
 	}
 }
@@ -289,7 +289,7 @@ func (w *Worker) statsReport() *WorkerStatsReport {
 var errUnknownWorker = errors.New("dist: dispatcher does not know this worker")
 
 func (w *Worker) register(ctx context.Context) error {
-	req := RegisterRequest{Name: w.cfg.Name, Slots: w.sweeper.Workers()}
+	req := RegisterRequest{Name: w.cfg.Name, Slots: 1}
 	for {
 		var resp RegisterResponse
 		status, err := w.post(ctx, "/v1/workers/register", req, &resp)

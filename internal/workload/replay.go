@@ -160,13 +160,3 @@ func CompareTraces(recorded, replayed *Trace) (*CompareReport, error) {
 	}
 	return rep, nil
 }
-
-// TrimLatency zeroes the latencies of a trace in place and returns it —
-// useful when asserting that two firings of the same schedule produced
-// byte-identical traces modulo timing.
-func TrimLatency(tr *Trace) *Trace {
-	for i := range tr.Records {
-		tr.Records[i].Latency = 0
-	}
-	return tr
-}

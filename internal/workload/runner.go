@@ -20,8 +20,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"flagsim/internal/obs"
 )
 
 // RunnerConfig parameterizes one open-loop firing of a schedule.
@@ -36,8 +34,6 @@ type RunnerConfig struct {
 	// 0 or negative fires as fast as possible (every offset is due
 	// immediately) — the mode determinism tests use.
 	Speed float64
-	// Metrics, when non-nil, receives generator-side families.
-	Metrics *obs.LoadgenMetrics
 	// Observe, when non-nil, is called once per completed request with
 	// the arrival index and response metadata — the seam tests use to
 	// assert on headers (Retry-After) without widening the trace format.
@@ -139,9 +135,6 @@ func Fire(ctx context.Context, sched *Schedule, cfg RunnerConfig) (*Trace, *Repo
 			maxInFlight = inFlight
 		}
 		mu.Unlock()
-		if cfg.Metrics != nil {
-			cfg.Metrics.Fired(lag)
-		}
 		fireAt := time.Now()
 		wg.Add(1)
 		go func(i int, a Arrival) {
@@ -155,9 +148,6 @@ func Fire(ctx context.Context, sched *Schedule, cfg RunnerConfig) (*Trace, *Repo
 			mu.Lock()
 			inFlight--
 			mu.Unlock()
-			if cfg.Metrics != nil {
-				cfg.Metrics.Completed(strconv.Itoa(status), rec.Latency)
-			}
 			if cfg.Observe != nil {
 				cfg.Observe(i, status, header)
 			}
