@@ -1,9 +1,10 @@
 // Command flagdispd is the sweep fabric's dispatcher: it owns a durable,
 // crash-recoverable job queue and a disk-backed content-addressed result
 // store, serves POST /v1/run and POST /v1/sweep through the same front
-// end as flagsimd (wire DTOs, status codes, X-Run-ID, GET /v1/runs;
-// only ?trace=chrome, an in-process run, answers 400 here), and farms
-// the work out to flagworkd workers over expiring leases. Results the
+// end as flagsimd (wire DTOs, status codes, X-Run-ID, GET /v1/runs and
+// their traces, which ?trace=chrome and /v1/runs/{id}/trace draw from
+// one in-process run of the spec at a time), and farms the work out to
+// flagworkd workers over expiring leases. Results the
 // store already holds are served warm without touching the fleet;
 // everything else is journaled durably before the enqueue is
 // acknowledged, so a kill -9 at any moment loses no accepted work.
@@ -21,8 +22,8 @@
 // per-worker federated gauges and job phase histograms). GET /v1/jobs
 // lists recent job lifecycle timelines, GET /v1/jobs/{key} one job's
 // timeline, and GET /v1/jobs/{key}/trace its stitched fleet-wide Chrome
-// trace (dispatcher lifecycle lane + worker engine lane); the ring
-// behind them is bounded by -job-ring.
+// trace (dispatcher lifecycle lane + the job's engine lane, replayed
+// from its spec); the ring behind them is bounded by -job-ring.
 //
 // The daemon drains gracefully on SIGINT/SIGTERM. Worker leases are
 // volatile: a restart requeues whatever was in flight, which is always

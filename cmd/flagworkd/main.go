@@ -11,13 +11,12 @@
 //	flagworkd -cache-dir /var/cache/flagwork   # local disk result tier:
 //	                                           # survives restarts, shareable
 //	flagworkd -metrics-addr 127.0.0.1:9101     # flagsim_dist_worker_* families
-//	flagworkd -trace=false                     # skip engine span capture
 //
-// By default the worker captures each job's engine span timeline and
-// attaches it to the report, so the dispatcher can serve a stitched
-// fleet-wide Chrome trace for the job. Its own counters also piggyback
-// on every lease/renew call, making one scrape of the dispatcher's
-// /metrics cover the whole fleet.
+// Every job runs on the engine's fast path and its report carries the
+// result bytes alone: the dispatcher draws a job's engine trace by
+// replaying its spec. The worker's own counters piggyback on every
+// lease/renew call, making one scrape of the dispatcher's /metrics
+// cover the whole fleet.
 //
 // The worker exits cleanly on SIGINT/SIGTERM; an in-flight job is
 // abandoned to lease expiry (safe — jobs are pure and content-addressed).
@@ -47,7 +46,6 @@ func main() {
 		poll        = flag.Duration("poll", 200*time.Millisecond, "idle sleep between empty lease calls")
 		cacheDir    = flag.String("cache-dir", "", "local disk result tier directory (empty = memory-only memo)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics on this address (empty = disabled)")
-		trace       = flag.Bool("trace", true, "capture engine spans and attach them to job reports")
 		logLevel    = flag.String("log-level", "info", "minimum log severity: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "structured log encoding: text or json")
 	)
@@ -81,7 +79,6 @@ func main() {
 		PollInterval: *poll,
 		Tier:         tier,
 		Logger:       logger,
-		DisableTrace: !*trace,
 	})
 
 	if *metricsAddr != "" {

@@ -23,6 +23,7 @@ import (
 
 	"flagsim/internal/obs"
 	"flagsim/internal/server"
+	"flagsim/internal/sweep"
 	"flagsim/internal/wire"
 	"flagsim/internal/workload"
 )
@@ -153,6 +154,10 @@ type Dispatcher struct {
 	phaseStore    *obs.Histogram
 	phaseEndToEnd *obs.Histogram
 
+	// traceSlot holds the one engine run the dispatcher makes at a time
+	// (see traceRun).
+	traceSlot chan struct{}
+
 	mu      sync.Mutex
 	workers map[string]*workerInfo
 }
@@ -179,8 +184,9 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		cfg: cfg, queue: queue, store: store,
 		log: cfg.Logger,
 		now: cfg.Now, start: cfg.Now(),
-		ring:    obs.NewRing[obs.JobTimeline](cfg.JobRingSize),
-		workers: make(map[string]*workerInfo),
+		ring:      obs.NewRing[obs.JobTimeline](cfg.JobRingSize),
+		traceSlot: make(chan struct{}, 1),
+		workers:   make(map[string]*workerInfo),
 	}
 	reg := obs.NewRegistry()
 	obs.RegisterDistDispatcher(reg, d.statsSnapshot)
@@ -200,7 +206,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	// process, and /v1/jobs/{key} honestly 404s for them.
 	for _, job := range queue.PendingJobs() {
 		d.ring.Insert(obs.JobTimeline{
-			Key: job.KeyHex, RunID: obs.NewRunID(), Spec: job.Label(),
+			Key: job.KeyHex, RunID: obs.NewRunID(), Spec: job.Label(), Req: job.Req,
 			Enqueued: d.now(),
 		})
 	}
@@ -326,7 +332,7 @@ func (d *Dispatcher) EnqueueJobs(jobs []Job) (added, deduped int, err error) {
 	now := d.now()
 	for _, job := range jobs {
 		d.ring.Insert(obs.JobTimeline{
-			Key: job.KeyHex, RunID: obs.NewRunID(), Spec: job.Label(), Enqueued: now,
+			Key: job.KeyHex, RunID: obs.NewRunID(), Spec: job.Label(), Req: job.Req, Enqueued: now,
 		})
 	}
 	return d.queue.Enqueue(jobs)
@@ -435,10 +441,6 @@ func (d *Dispatcher) clampTTL(ms int64) time.Duration {
 	return ttl
 }
 
-// errTraceLocal refuses ?trace=chrome: that trace is one engine run
-// executed in-process, which only flagsimd does.
-var errTraceLocal = errors.New("dist: ?trace=chrome needs an in-process engine run, which flagdispd does not do; trace a fleet job with GET /v1/jobs/{key}/trace")
-
 // errNoResult reports a job the queue completed without a stored result.
 var errNoResult = errors.New("dist: completed job has no stored result")
 
@@ -446,10 +448,11 @@ var errNoResult = errors.New("dist: completed job has no stored result")
 // when warm, otherwise submitted to the fleet under the request's run
 // ID. It counts tier hits and misses as Sweep does: a warm run is one
 // hit, a run the fleet computed is neither, and a completed job with no
-// stored result is one miss.
+// stored result is one miss. A traced call runs in process, as on
+// flagsimd (traceRun).
 func (d *Dispatcher) Run(ctx context.Context, call server.RunCall) (server.Reply, error) {
 	if call.Trace {
-		return server.Reply{}, &server.StatusError{Code: http.StatusBadRequest, Err: errTraceLocal}
+		return d.traceRun(ctx, call.Spec)
 	}
 	job := Job{KeyHex: hex.EncodeToString(call.Key[:]), Req: call.Req}
 	stored, warm := d.store.read(call.Key)
@@ -471,6 +474,21 @@ func (d *Dispatcher) Run(ctx context.Context, call server.RunCall) (server.Reply
 	return server.Reply{CacheHit: warm, Body: RunFleetResponse{
 		Key: job.KeyHex, Spec: call.Spec.Label(), RunID: call.RunID, Warm: warm, Result: stored.payload,
 	}}, nil
+}
+
+// traceRun runs spec once in process for its engine spans, as flagsimd
+// does (server.TracedRun). These are the dispatcher's only engine runs,
+// and its CPU serves the fleet's queue, so they run one at a time; a
+// request waiting for its turn gives up when its context ends.
+func (d *Dispatcher) traceRun(ctx context.Context, spec sweep.Spec) (server.Reply, error) {
+	select {
+	case d.traceSlot <- struct{}{}:
+	case <-ctx.Done():
+		return server.Reply{}, ctx.Err()
+	}
+	defer func() { <-d.traceSlot }()
+	rep, _, err := server.TracedRun(ctx, spec)
+	return rep, err
 }
 
 // sweepKey is one distinct key of a sweep request and what every row
@@ -569,7 +587,7 @@ func (d *Dispatcher) submit(ctx context.Context, jobs []Job, runID string) (adde
 	}
 	now := d.now()
 	for _, job := range jobs {
-		d.ring.Insert(obs.JobTimeline{Key: job.KeyHex, RunID: runID, Spec: job.Label(), Enqueued: now})
+		d.ring.Insert(obs.JobTimeline{Key: job.KeyHex, RunID: runID, Spec: job.Label(), Req: job.Req, Enqueued: now})
 	}
 	if added, deduped, err = d.queue.Enqueue(jobs); err != nil {
 		return added, deduped, err
@@ -645,9 +663,7 @@ func (d *Dispatcher) handleRenew(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dispatcher) handleReport(w http.ResponseWriter, r *http.Request) {
-	// 4 MiB rather than the 1 MiB of the other worker calls: a report may
-	// carry an attached engine span trace alongside the result bytes.
-	req, ok := server.ReadBody(w, r, 4<<20, DecodeReport)
+	req, ok := server.ReadBody(w, r, 1<<20, DecodeReport)
 	if !ok {
 		return
 	}
@@ -668,9 +684,6 @@ func (d *Dispatcher) handleReport(w http.ResponseWriter, r *http.Request) {
 			t.Err = req.Err
 			if t.RunID == "" && obs.ValidRunID(req.RunID) {
 				t.RunID = req.RunID
-			}
-			if req.Trace != nil {
-				t.Trace = req.Trace
 			}
 		})
 	}
@@ -741,7 +754,8 @@ type JobPhasesView struct {
 }
 
 // JobTimelineView is one /v1/jobs row: the raw timeline plus derived
-// phase durations and trace availability.
+// phase durations and trace availability. HasTrace is Done: a job that
+// completed ok has an engine lane, replayed from its request.
 type JobTimelineView struct {
 	obs.JobTimeline
 	Phases   JobPhasesView `json:"phases"`
@@ -756,7 +770,7 @@ type JobsResponse struct {
 }
 
 func timelineView(t obs.JobTimeline) JobTimelineView {
-	v := JobTimelineView{JobTimeline: t, Done: t.Done(), HasTrace: t.HasTrace()}
+	v := JobTimelineView{JobTimeline: t, Done: t.Done(), HasTrace: t.Done()}
 	if dur, ok := t.QueueWait(); ok {
 		v.Phases.QueueWaitNS = int64(dur)
 	}
@@ -810,6 +824,19 @@ func (d *Dispatcher) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 			"dist: job %q has no completed lifecycle to trace yet", key))
 		return
 	}
+	// The engine lane is replayed before anything is written: a replay
+	// that fails (the client gave up waiting) answers with an error.
+	var engine server.Reply
+	if t.Done() {
+		spec, err := t.Req.Spec()
+		if err == nil {
+			engine, err = d.traceRun(r.Context(), spec)
+		}
+		if err != nil {
+			server.WriteError(w, http.StatusInternalServerError, fmt.Errorf("dist: job %q engine replay: %w", key, err))
+			return
+		}
+	}
 	b := obs.NewTraceBuilder()
 	// pid 1: the dispatcher's view — one lifecycle lane with the phase
 	// spans, all relative to the enqueue instant.
@@ -828,25 +855,15 @@ func (d *Dispatcher) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	if dur, ok := t.Store(); ok {
 		b.Span(1, 1, "store", "phase", t.Reported.Sub(t.Enqueued), dur, args)
 	}
-	// pid 2: the worker's view — its engine span timeline, shifted onto
+	// pid 2: the worker's view — the job's engine span timeline,
+	// replayed from its request (the spans are a pure function of the
+	// spec, so they are the ones the worker's run drew) and shifted onto
 	// the dispatcher clock at the lease instant (the engine's virtual
 	// clock compresses wall time, so spans nest inside the compute phase
 	// approximately, not exactly).
-	if t.HasTrace() {
-		tr := t.Trace
-		name := "flagworkd"
-		if tr.Worker != "" {
-			name = "flagworkd " + tr.Worker
-		}
-		b.ProcessName(2, name)
-		offset := t.Leased.Sub(t.Enqueued)
-		for i, proc := range tr.Procs {
-			b.ThreadName(2, i+1, proc)
-		}
-		for _, sp := range tr.Spans {
-			b.Span(2, sp.Proc+1, sp.Name, sp.Cat,
-				offset+time.Duration(sp.StartNS), time.Duration(sp.DurNS), sp.Args)
-		}
+	if t.Done() {
+		b.ProcessName(2, "flagworkd "+t.Worker)
+		b.EngineSpans(2, t.Leased.Sub(t.Enqueued), engine.Procs, engine.Spans)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := b.Render(w); err != nil {

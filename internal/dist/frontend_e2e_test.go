@@ -130,23 +130,39 @@ func TestFrontendSameAnswersFromBothBackends(t *testing.T) {
 		})
 	}
 
-	// The one designed difference: ?trace=chrome runs the engine
-	// in-process, which flagsimd does and flagdispd refuses.
+	// Traces too: ?trace=chrome (whose signature is the whole trace) and
+	// the client run's replayed trace are the same from both daemons once
+	// the process_name row, which names the daemon that served them, is
+	// dropped.
 	body := `{"flag":"mauritius","scenario":2,"seed":3}`
-	rec, _ := exchange(t, simd.URL, post, "/v1/run?trace=chrome", body, "")
-	var events []map[string]any
-	if rec.Status != http.StatusOK || json.Unmarshal(rec.Resp, &events) != nil || len(events) == 0 {
-		t.Errorf("flagsimd ?trace=chrome: status %d, want 200 with a Chrome trace: %.200s", rec.Status, rec.Resp)
-	}
-	rec, _ = exchange(t, f.srv.URL, post, "/v1/run?trace=chrome", body, "")
-	if rec.Status != http.StatusBadRequest || !bytes.Contains(rec.Resp, []byte(`"error"`)) {
-		t.Errorf("flagdispd ?trace=chrome: status %d, want 400 with an error body: %s", rec.Status, rec.Resp)
+	for _, call := range []struct{ method, path, body string }{
+		{post, "/v1/run?trace=chrome", body},
+		{get, "/v1/runs/" + clientID + "/trace", ""},
+	} {
+		var sigs [2][]byte
+		for i, base := range []string{simd.URL, f.srv.URL} {
+			rec, _ := exchange(t, base, call.method, call.path, call.body, "")
+			if rec.Status != http.StatusOK {
+				t.Fatalf("daemon %d %s: status %d, want 200: %s", i, call.path, rec.Status, rec.Resp)
+			}
+			sig := rec.Resp
+			if call.method == post {
+				var err error
+				if sig, err = workload.ResultSignature(&rec); err != nil {
+					t.Fatalf("daemon %d %s: %v", i, call.path, err)
+				}
+			}
+			sigs[i] = withoutProcessName(t, sig)
+		}
+		if !bytes.Equal(sigs[0], sigs[1]) {
+			t.Errorf("%s: traces differ:\n flagsimd  %.300s\n flagdispd %.300s", call.path, sigs[0], sigs[1])
+		}
 	}
 
 	// flagdispd records the envelope too: the client's run is listed in
-	// /v1/runs, and its span-less summary has no trace to serve.
+	// /v1/runs.
 	var runs server.RunsResponse
-	rec, _ = exchange(t, f.srv.URL, get, "/v1/runs", "", "")
+	rec, _ := exchange(t, f.srv.URL, get, "/v1/runs", "", "")
 	if rec.Status != http.StatusOK || json.Unmarshal(rec.Resp, &runs) != nil {
 		t.Fatalf("flagdispd /v1/runs: status %d: %s", rec.Status, rec.Resp)
 	}
@@ -157,8 +173,120 @@ func TestFrontendSameAnswersFromBothBackends(t *testing.T) {
 	if !found {
 		t.Errorf("flagdispd /v1/runs does not list run %s: %s", clientID, rec.Resp)
 	}
-	if rec, _ = exchange(t, f.srv.URL, get, "/v1/runs/"+clientID+"/trace", "", ""); rec.Status != http.StatusNotFound {
-		t.Errorf("flagdispd run trace: status %d, want 404", rec.Status)
+}
+
+// traceEvents decodes a Chrome trace body into its events, each as the
+// bytes the daemon wrote, with its name and phase.
+func traceEvents(t *testing.T, raw []byte) (events []json.RawMessage, heads []struct{ Name, Ph string }) {
+	t.Helper()
+	if err := json.Unmarshal(raw, &events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v: %.200s", err, raw)
+	}
+	heads = make([]struct{ Name, Ph string }, len(events))
+	for i, ev := range events {
+		if err := json.Unmarshal(ev, &heads[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return events, heads
+}
+
+// withoutProcessName drops a Chrome trace's process_name rows: the one
+// place where the two daemons' traces of one spec differ, since each
+// names the daemon that served it.
+func withoutProcessName(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	events, heads := traceEvents(t, raw)
+	var kept []json.RawMessage
+	for i, ev := range events {
+		if heads[i].Ph != "M" || heads[i].Name != "process_name" {
+			kept = append(kept, ev)
+		}
+	}
+	out, err := json.Marshal(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// spanEvents keeps a Chrome trace's "X" events, the engine spans.
+func spanEvents(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	events, heads := traceEvents(t, raw)
+	var kept []json.RawMessage
+	for i, ev := range events {
+		if heads[i].Ph == "X" {
+			kept = append(kept, ev)
+		}
+	}
+	if len(kept) == 0 {
+		t.Fatalf("trace has no X events: %.200s", raw)
+	}
+	out, err := json.Marshal(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestTracesReplayEquallyOnBothDaemons: a trace is its spec's replay.
+// For a builtin, a generated and a faulted spec, each daemon answers
+// /v1/runs/{id}/trace for a cold run and for a warm hit of it, and
+// ?trace=chrome, with the same X events, and both daemons with the
+// same ones.
+func TestTracesReplayEquallyOnBothDaemons(t *testing.T) {
+	f := startFleet(t, t.TempDir())
+	stopWorkers := startWorkers(t, f, 1, nil)
+	defer f.stop(t)
+	defer stopWorkers()
+	simd := httptest.NewServer(server.New(server.Config{}).Handler())
+	defer simd.Close()
+
+	post, get := http.MethodPost, http.MethodGet
+	for i, body := range []string{
+		`{"flag":"mauritius","scenario":4,"seed":11}`,
+		`{"flag":"gen:v1:42:1","scenario":2,"seed":11}`,
+		`{"scenario":4,"pipelined":true,"seed":11,"faults":{"preset":"heavy","seed":3}}`,
+	} {
+		var want []byte
+		for d, base := range []string{simd.URL, f.srv.URL} {
+			var traces [][]byte
+			for warm := 0; warm < 2; warm++ {
+				runID := fmt.Sprintf("%016x", 0xa0+2*i+warm)
+				rec, _ := exchange(t, base, post, "/v1/run", body, runID)
+				var reply struct {
+					CacheHit bool `json:"cache_hit"` // flagsimd
+					Warm     bool `json:"warm"`      // flagdispd
+				}
+				if rec.Status != http.StatusOK || json.Unmarshal(rec.Resp, &reply) != nil {
+					t.Fatalf("daemon %d %s: status %d: %.200s", d, body, rec.Status, rec.Resp)
+				}
+				if hit := reply.CacheHit || reply.Warm; hit != (warm == 1) {
+					t.Fatalf("daemon %d %s run %d: served warm %v", d, body, warm, hit)
+				}
+				rec, _ = exchange(t, base, get, "/v1/runs/"+runID+"/trace", "", "")
+				if rec.Status != http.StatusOK {
+					t.Fatalf("daemon %d %s trace of run %d: status %d: %s", d, body, warm, rec.Status, rec.Resp)
+				}
+				traces = append(traces, rec.Resp)
+			}
+			rec, _ := exchange(t, base, post, "/v1/run?trace=chrome", body, "")
+			if rec.Status != http.StatusOK {
+				t.Fatalf("daemon %d %s ?trace=chrome: status %d: %s", d, body, rec.Status, rec.Resp)
+			}
+			traces = append(traces, rec.Resp)
+			for k, tr := range traces {
+				got := spanEvents(t, tr)
+				if want == nil {
+					want = got
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("daemon %d %s: trace %d (cold, warm, ?trace=chrome) has other X events:\n%.300s\n%.300s",
+						d, body, k, got, want)
+				}
+			}
+		}
 	}
 }
 

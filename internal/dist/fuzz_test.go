@@ -49,6 +49,15 @@ func FuzzDistWireDecode(f *testing.F) {
 		}
 	}
 
+	// A report from a worker that still attaches its engine spans: the
+	// trace is ignored, not rejected.
+	oldReport := []byte(`{"lease_id":"a","worker_id":"b","key":"` + job.KeyHex + `","result":` + string(enc) +
+		`,"trace":{"worker":"w1","procs":["P1"],"spans":[{"proc":0,"name":"paint red","cat":"paint","start_ns":0,"dur_ns":5,"args":{"cell":"(0,0)"}}]}}`)
+	f.Add(oldReport)
+	if _, err := DecodeReport(oldReport); err != nil {
+		f.Errorf("report with an old-style trace: %v, want accepted", err)
+	}
+
 	check := func(t *testing.T, name string, err error) {
 		if err != nil && !errors.Is(err, ErrWire) {
 			t.Errorf("%s: rejection not typed ErrWire: %v", name, err)

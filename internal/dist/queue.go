@@ -62,6 +62,9 @@ type QueueStats struct {
 	// Outstanding is Depth+Leased: accepted but not yet completed.
 	Outstanding int `json:"outstanding"`
 
+	// The lifetime counters count what this queue did since Open: a
+	// completion replayed from the journal or self-healed from the store
+	// counts in none of them.
 	Enqueued   int64 `json:"enqueued"`
 	Deduped    int64 `json:"deduped"`
 	Dispatched int64 `json:"dispatched"`
@@ -281,6 +284,11 @@ func (q *Queue) Complete(leaseID string, key Key, ok bool, errMsg string) error 
 		return err
 	}
 	q.markComplete(key, ok, errMsg)
+	if ok {
+		q.completed++
+	} else {
+		q.failed++
+	}
 	q.completionsSinceCompact++
 	if q.completionsSinceCompact >= compactEvery {
 		if err := q.compactLocked(); err != nil {
@@ -390,16 +398,15 @@ func (q *Queue) expireLocked() int {
 
 // markComplete records the outcome of a job the queue holds and wakes
 // its waiters; q.mu must be held. An ok job leaves the queue; a failed
-// one stays, with its error, so it still dedupes. It does not journal —
-// callers that need durability journal first.
+// one stays, with its error, so it still dedupes. It neither journals
+// nor counts: recovery replays completions through it, and callers that
+// complete a job themselves journal first and count after.
 func (q *Queue) markComplete(key Key, ok bool, errMsg string) {
 	qj := q.jobs[key]
 	if ok {
 		delete(q.jobs, key)
-		q.completed++
 	} else {
 		qj.state, qj.err = stateFailed, errMsg
-		q.failed++
 	}
 	for id, l := range q.leases {
 		if l.key == key {

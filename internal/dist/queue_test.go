@@ -420,3 +420,62 @@ func TestQueueDoneMeansStored(t *testing.T) {
 		t.Fatal("a re-admitted job reads as done")
 	}
 }
+
+// TestQueueReopenCountsNothingReplayed: the lifetime counters count what
+// this process did. Reopening a queue whose journal holds completions,
+// ok and failed, and a job the store self-heals counts none of them,
+// and the reopened queue counts its own completions from zero.
+func TestQueueReopenCountsNothingReplayed(t *testing.T) {
+	dir := t.TempDir()
+	clock := newFakeClock()
+	store, err := OpenResultStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := openTestQueue(t, dir, store, clock)
+	jobs := []Job{testJob(t, 61), testJob(t, 62), testJob(t, 63), testJob(t, 64), testJob(t, 65)}
+	if _, _, err := q.Enqueue(jobs); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		id, job, ok := q.Lease("w", time.Minute)
+		if !ok {
+			t.Fatalf("lease %d failed", i)
+		}
+		errMsg := ""
+		if i == 2 {
+			errMsg = "boom"
+		}
+		if err := q.Complete(id, job.Key(), errMsg == "", errMsg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The fourth job's result reaches the store, its completion frame
+	// never does: the reopened queue self-heals it.
+	if err := store.Put(jobs[3].Key(), testResult(64)); err != nil {
+		t.Fatal(err)
+	}
+	if st := q.Stats(); st.Enqueued != 5 || st.Completed != 2 || st.Failed != 1 || st.Dispatched != 3 {
+		t.Fatalf("before reopen: %+v", st)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	q2 := openTestQueue(t, dir, store, clock)
+	defer q2.Close()
+	if st := q2.Stats(); st.Enqueued != 0 || st.Deduped != 0 || st.Dispatched != 0 ||
+		st.Completed != 0 || st.Failed != 0 || st.Expired != 0 || st.Recovered != 1 || st.Depth != 1 {
+		t.Fatalf("after reopen: %+v, want nothing counted but the one recovered pending job", st)
+	}
+	id, job, ok := q2.Lease("w", time.Minute)
+	if !ok || job.KeyHex != jobs[4].KeyHex {
+		t.Fatalf("reopened queue leased %v %q, want the pending job", ok, job.KeyHex)
+	}
+	if err := q2.Complete(id, job.Key(), true, ""); err != nil {
+		t.Fatal(err)
+	}
+	if st := q2.Stats(); st.Completed != 1 || st.Dispatched != 1 || st.Failed != 0 {
+		t.Fatalf("after one completion: %+v", st)
+	}
+}

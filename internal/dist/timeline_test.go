@@ -11,12 +11,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"flagsim/internal/obs"
+	"flagsim/internal/sim"
 	"flagsim/internal/wire"
 )
 
@@ -44,19 +46,53 @@ func getJSON(t *testing.T, url string, out any) int {
 // traceEvents is the decoded form of a stitched Chrome trace.
 type testTraceEvent struct {
 	Name string            `json:"name"`
+	Cat  string            `json:"cat"`
 	Ph   string            `json:"ph"`
+	TS   int64             `json:"ts"`
 	PID  int               `json:"pid"`
 	TID  int               `json:"tid"`
 	Dur  int64             `json:"dur"`
 	Args map[string]string `json:"args"`
 }
 
+// engineLane renders the job's engine spans as RunOnce draws them,
+// shifted to its lease offset on the dispatcher's timeline: the pid-2
+// events a stitched job trace must carry.
+func engineLane(t *testing.T, job Job, offset time.Duration) []testTraceEvent {
+	t.Helper()
+	spec, err := job.Req.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var collector sim.SpanCollector
+	res, err := spec.RunOnce(nil, &collector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := make([]string, len(res.Procs))
+	for i, p := range res.Procs {
+		procs[i] = p.Name
+	}
+	b := obs.NewTraceBuilder()
+	b.EngineSpans(2, offset, procs, collector.Spans)
+	var buf bytes.Buffer
+	if err := b.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var evs []testTraceEvent
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
 // TestFleetTimelinesAndTraces is the tracing plane's acceptance test: a
 // two-worker sweep leaves, for every computed key, a fully-stamped
 // timeline with coherent phases, a stitched Chrome trace containing both
-// dispatcher lifecycle spans and worker engine spans, byte-identical
-// results, and dispatcher /metrics covering phases and the federated
-// per-worker families.
+// dispatcher lifecycle spans and the job's engine spans (exactly
+// RunOnce's, at the lease offset), byte-identical results, and
+// dispatcher /metrics covering phases and the federated per-worker
+// families.
 func TestFleetTimelinesAndTraces(t *testing.T) {
 	f := startFleet(t, t.TempDir())
 	stopWorkers := startWorkers(t, f, 2, nil)
@@ -128,7 +164,7 @@ func TestFleetTimelinesAndTraces(t *testing.T) {
 			t.Fatalf("job %d: phases do not sum to end-to-end: %+v", i, p)
 		}
 		if !tl.HasTrace {
-			t.Fatalf("job %d computed but carries no worker trace", i)
+			t.Fatalf("job %d completed but has no trace", i)
 		}
 
 		// The stitched trace has a dispatcher lifecycle lane (pid 1) and
@@ -140,7 +176,14 @@ func TestFleetTimelinesAndTraces(t *testing.T) {
 		}
 		spanPIDs := map[int]int{}
 		var sawCompute, sawEngine bool
+		var lane []testTraceEvent
 		for _, ev := range evs {
+			if ev.PID == 2 {
+				if ev.Ph == "M" && ev.Name == "process_name" && ev.Args["name"] != "flagworkd e2e-worker" {
+					t.Fatalf("job %d engine lane named %q", i, ev.Args["name"])
+				}
+				lane = append(lane, ev)
+			}
 			if ev.Ph != "X" {
 				continue
 			}
@@ -161,6 +204,16 @@ func TestFleetTimelinesAndTraces(t *testing.T) {
 		if !sawCompute || !sawEngine {
 			t.Fatalf("job %d trace missing compute phase span (%v) or engine paint span (%v)",
 				i, sawCompute, sawEngine)
+		}
+		// The engine lane is the job's replay: RunOnce's spans, shifted to
+		// the lease offset on the dispatcher's clock.
+		stamped, ok := f.d.ring.Get(job.KeyHex)
+		if !ok {
+			t.Fatalf("job %d timeline left the ring", i)
+		}
+		if want := engineLane(t, job, stamped.Leased.Sub(stamped.Enqueued)); !reflect.DeepEqual(lane[1:], want) {
+			t.Fatalf("job %d engine lane has %d events, RunOnce at the lease offset %d, and they differ",
+				i, len(lane)-1, len(want))
 		}
 	}
 
@@ -353,11 +406,106 @@ func TestDispatcherRestartSeedsPendingTimelines(t *testing.T) {
 			if !obs.ValidRunID(tl.RunID) {
 				t.Fatalf("recovered timeline run_id %q not minted", tl.RunID)
 			}
+			// The seeded timeline keeps the job's request, so its trace
+			// has an engine lane.
+			var evs []testTraceEvent
+			if code := getJSON(t, f.srv.URL+"/v1/jobs/"+job.KeyHex+"/trace", &evs); code != http.StatusOK {
+				t.Fatalf("recovered job's trace status %d", code)
+			}
+			engine := 0
+			for _, ev := range evs {
+				if ev.PID == 2 && ev.Ph == "X" {
+					engine++
+				}
+			}
+			if engine == 0 {
+				t.Fatal("recovered job's trace has no engine spans")
+			}
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("recovered job's timeline never completed")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// oldWorkerTrace is the engine span summary workers used to attach to a
+// report, at its old cap of 4096 spans.
+func oldWorkerTrace() json.RawMessage {
+	var b strings.Builder
+	b.WriteString(`{"worker":"old-worker","procs":["P1","P2","P3","P4"],"spans":[`)
+	for i := 0; i < 4096; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"proc":%d,"name":"paint yellow","cat":"paint","start_ns":%d,"dur_ns":1595614,"args":{"cell":"(%d,%d)"}}`,
+			i%4, 100000000000+int64(i)*1595614, i%120, i/120)
+	}
+	b.WriteString(`],"truncated":true}`)
+	return json.RawMessage(b.String())
+}
+
+// TestReportIgnoresOldWorkerTrace: a report from a worker that still
+// attaches its engine spans is accepted, within the 1 MiB report limit
+// even at the old 4096-span cap, and the spans are ignored: the result
+// is stored and the job's trace is replayed from its request.
+func TestReportIgnoresOldWorkerTrace(t *testing.T) {
+	f := startFleet(t, t.TempDir())
+	defer f.stop(t)
+	job := testJob(t, 55)
+	spec, err := job.Req.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := spec.RunOnce(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := wire.MarshalResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg RegisterResponse
+	if code := postWorker(t, f.srv.URL, "/v1/workers/register", RegisterRequest{Name: "old"}, &reg); code != http.StatusOK {
+		t.Fatalf("register: %d", code)
+	}
+	if _, _, err := f.d.EnqueueJobs([]Job{job}); err != nil {
+		t.Fatal(err)
+	}
+	var lease LeaseResponse
+	if code := postWorker(t, f.srv.URL, "/v1/workers/lease", LeaseRequest{WorkerID: reg.WorkerID}, &lease); code != http.StatusOK {
+		t.Fatalf("lease: %d", code)
+	}
+	report := ReportRequest{LeaseID: lease.LeaseID, WorkerID: reg.WorkerID, Key: job.KeyHex,
+		Result: result, Trace: oldWorkerTrace()}
+	if raw, _ := json.Marshal(report); len(raw) >= 1<<20 {
+		t.Fatalf("an old worker's largest report is %d bytes, over the 1 MiB limit", len(raw))
+	}
+	if code := postWorker(t, f.srv.URL, "/v1/workers/report", report, nil); code != http.StatusOK {
+		t.Fatalf("report with an old-style trace: %d, want 200", code)
+	}
+	if stored, ok := f.d.Store().Get(job.Key()); !ok || !bytes.Equal(stored, result) {
+		t.Fatal("the report's result was not stored")
+	}
+	stamped, ok := f.d.ring.Get(job.KeyHex)
+	if !ok || !stamped.Done() {
+		t.Fatalf("job timeline %+v, want done", stamped)
+	}
+	var evs []testTraceEvent
+	if code := getJSON(t, f.srv.URL+"/v1/jobs/"+job.KeyHex+"/trace", &evs); code != http.StatusOK {
+		t.Fatalf("job trace status %d", code)
+	}
+	var lane []testTraceEvent
+	for _, ev := range evs {
+		if ev.PID == 2 {
+			lane = append(lane, ev)
+		}
+	}
+	if len(lane) == 0 || lane[0].Args["name"] != "flagworkd old" {
+		t.Fatalf("job trace has no engine lane named for its worker: %+v", lane)
+	}
+	if want := engineLane(t, job, stamped.Leased.Sub(stamped.Enqueued)); !reflect.DeepEqual(lane[1:], want) {
+		t.Fatalf("engine lane has %d events, want RunOnce's %d: the old trace was not ignored", len(lane)-1, len(want))
 	}
 }

@@ -181,10 +181,9 @@ type ReportRequest struct {
 	ElapsedNS int64           `json:"elapsed_ns,omitempty"`
 	Result    json.RawMessage `json:"result,omitempty"`
 	Err       string          `json:"err,omitempty"`
-	// Trace is the worker's pre-rendered engine span summary for a
-	// successful execution; the dispatcher stitches it into the job's
-	// fleet-wide Chrome trace.
-	Trace *wire.WorkerTrace `json:"trace,omitempty"`
+	// Trace is ignored. Older workers attached their engine spans here;
+	// the field stays so strict decoding accepts their reports.
+	Trace json.RawMessage `json:"trace,omitempty"`
 
 	// result is Result as the store keeps it, decoded by DecodeReport.
 	result entry
@@ -261,14 +260,6 @@ func DecodeReport(raw []byte) (ReportRequest, error) {
 		var err error
 		if v.result, err = decodeResult(v.Result); err != nil {
 			return v, fmt.Errorf("%w: report result: %v", ErrWire, err)
-		}
-	}
-	if v.Trace != nil {
-		if len(v.Result) == 0 {
-			return v, fmt.Errorf("%w: report: trace attached to a failed execution", ErrWire)
-		}
-		if err := v.Trace.Validate(); err != nil {
-			return v, fmt.Errorf("%w: report trace: %v", ErrWire, err)
 		}
 	}
 	return v, nil

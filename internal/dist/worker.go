@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"flagsim/internal/obs"
-	"flagsim/internal/sim"
 	"flagsim/internal/sweep"
 	"flagsim/internal/wire"
 )
@@ -45,11 +44,6 @@ type WorkerConfig struct {
 	Logger *slog.Logger
 	// Client is the HTTP client; nil means a 30s-timeout default.
 	Client *http.Client
-	// DisableTrace turns off engine span capture and trace attachment on
-	// reports. The zero value traces: the per-job overhead is small and a
-	// fleet that never captured spans cannot answer "what did the engine
-	// do for this job" after the fact.
-	DisableTrace bool
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
@@ -160,7 +154,7 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 	if err != nil {
 		// Cannot happen for a job that passed DecodeJob; report rather
 		// than loop on it.
-		w.report(ctx, lease, nil, nil, 0, fmt.Errorf("dist: leased job spec: %w", err))
+		w.report(ctx, lease, nil, 0, fmt.Errorf("dist: leased job spec: %w", err))
 		return
 	}
 
@@ -201,18 +195,8 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 		}
 	}()
 
-	// A per-job span collector captures the engine timeline for the
-	// report's attached trace. Safe here for the same reason as in the
-	// HTTP service: the batch holds exactly one spec. A local tier hit
-	// leaves it empty — nothing ran, nothing to trace.
-	var collector sim.SpanCollector
 	t0 := time.Now()
-	var batch *sweep.Result
-	if w.cfg.DisableTrace {
-		batch = w.sweeper.Run(runCtx, []sweep.Spec{spec})
-	} else {
-		batch = w.sweeper.RunProbed(runCtx, []sweep.Spec{spec}, &collector)
-	}
+	batch := w.sweeper.Run(runCtx, []sweep.Spec{spec})
 	elapsed := time.Since(t0)
 	cancelRun()
 	<-hbDone
@@ -231,49 +215,22 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 	}
 	if run.Err != nil {
 		w.failed.Add(1)
-		w.report(ctx, lease, nil, nil, elapsed, run.Err)
+		w.report(ctx, lease, nil, elapsed, run.Err)
 		return
 	}
 	raw, err := run.Record.Bytes()
 	if err != nil {
 		w.failed.Add(1)
-		w.report(ctx, lease, nil, nil, elapsed, err)
+		w.report(ctx, lease, nil, elapsed, err)
 		return
 	}
 	w.executed.Add(1)
-	w.report(ctx, lease, raw, w.buildTrace(run.Result, collector.Spans), elapsed, nil)
+	w.report(ctx, lease, raw, elapsed, nil)
 	w.log.Info("job executed",
 		slog.String("spec", spec.Label()),
 		slog.String("run_id", lease.RunID),
 		slog.Duration("elapsed", elapsed),
 		slog.Bool("cache_hit", run.CacheHit))
-}
-
-// buildTrace pre-renders captured engine spans into the wire trace
-// attached to a report: Chrome-event naming resolved worker-side
-// (obs.EngineSpanEvent), so the dispatcher stitches without touching
-// palette or geometry types. Returns nil when nothing was captured.
-func (w *Worker) buildTrace(res *sim.Result, spans []sim.Span) *wire.WorkerTrace {
-	if len(spans) == 0 || res == nil {
-		return nil
-	}
-	tr := &wire.WorkerTrace{Worker: w.cfg.Name, Procs: make([]string, len(res.Procs))}
-	for i, p := range res.Procs {
-		tr.Procs[i] = p.Name
-	}
-	if len(spans) > wire.MaxTraceSpans {
-		spans = spans[:wire.MaxTraceSpans]
-		tr.Truncated = true
-	}
-	tr.Spans = make([]wire.TraceSpan, 0, len(spans))
-	for _, sp := range spans {
-		name, cat, args := obs.EngineSpanEvent(sp)
-		tr.Spans = append(tr.Spans, wire.TraceSpan{
-			Proc: sp.Proc, Name: name, Cat: cat,
-			StartNS: int64(sp.Start), DurNS: int64(sp.End - sp.Start), Args: args,
-		})
-	}
-	return tr
 }
 
 // statsReport snapshots the worker's own counters for piggybacking on
@@ -329,7 +286,7 @@ func (w *Worker) renew(ctx context.Context, leaseID string) bool {
 	return err == nil && status == http.StatusOK
 }
 
-func (w *Worker) report(ctx context.Context, lease LeaseResponse, result []byte, trace *wire.WorkerTrace, elapsed time.Duration, runErr error) {
+func (w *Worker) report(ctx context.Context, lease LeaseResponse, result []byte, elapsed time.Duration, runErr error) {
 	req := ReportRequest{
 		LeaseID:   lease.LeaseID,
 		WorkerID:  w.id,
@@ -337,7 +294,6 @@ func (w *Worker) report(ctx context.Context, lease LeaseResponse, result []byte,
 		RunID:     lease.RunID,
 		ElapsedNS: int64(elapsed),
 		Result:    result,
-		Trace:     trace,
 	}
 	if runErr != nil {
 		req.Err = runErr.Error()

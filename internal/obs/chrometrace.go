@@ -4,7 +4,7 @@ package obs
 // sim.WriteChromeTraceSpans renders one engine run as a single-process
 // trace; this builder generalizes the same event shapes to multiple
 // processes so flagsimd can emit its run traces and flagdispd can stitch
-// a job's dispatcher-side lifecycle spans together with the worker's
+// a job's dispatcher-side lifecycle spans together with the job's
 // engine spans into one file — each process its own pid lane, each
 // processor (or lifecycle track) its own named thread.
 
@@ -77,29 +77,9 @@ func (b *TraceBuilder) EngineSpans(pid int, offset time.Duration, procs []string
 		b.ThreadName(pid, i+1, name)
 	}
 	for _, sp := range spans {
-		name, cat, args := EngineSpanEvent(sp)
+		name, cat, args := sp.ChromeEvent()
 		b.Span(pid, sp.Proc+1, name, cat, offset+sp.Start, sp.End-sp.Start, args)
 	}
-}
-
-// EngineSpanEvent renders one engine span's Chrome-event fields — the
-// naming scheme sim.WriteChromeTraceSpans established ("paint red" with
-// a cell arg, "wait blue", pickup/putdown carrying a color arg).
-// Exported so a worker can pre-render its spans into wire form and the
-// dispatcher can stitch them without resolving palette or geometry.
-func EngineSpanEvent(sp sim.Span) (name, cat string, args map[string]string) {
-	name = sp.Kind.String()
-	args = map[string]string{}
-	switch sp.Kind {
-	case sim.SpanPaint:
-		name = "paint " + sp.Color.String()
-		args["cell"] = sp.Cell.String()
-	case sim.SpanWaitImplement:
-		name = "wait " + sp.Color.String()
-	case sim.SpanPickup, sim.SpanPutDown:
-		args["color"] = sp.Color.String()
-	}
-	return name, sp.Kind.String(), args
 }
 
 // Render emits the accumulated trace as one JSON array, metadata first.

@@ -4,8 +4,8 @@ package obs
 // dispatcher stamps each phase transition it witnesses — enqueued,
 // leased (per attempt), reported, stored — into a bounded Ring keyed by
 // the job's content address: volatile by design (a restart forgets
-// timelines along with leases), bounded in memory (a slot's worker trace
-// is dropped when the slot is reused), and queryable after the fact
+// timelines along with leases), bounded in memory (a fixed number of
+// slots, none holding engine spans), and queryable after the fact
 // without having asked for tracing up front.
 
 import (
@@ -43,10 +43,9 @@ type JobTimeline struct {
 	// Err is the execution error for failed jobs.
 	Err string `json:"err,omitempty"`
 
-	// Trace is the worker-attached engine span summary backing the
-	// stitched Chrome trace; nil when the worker attached none. Served
-	// by its own endpoint, not inlined into timeline JSON.
-	Trace *wire.WorkerTrace `json:"-"`
+	// Req is the job's run request, which the job's engine lane is
+	// replayed from: the spans are a pure function of the spec.
+	Req wire.RunRequest `json:"-"`
 }
 
 // QueueWait is the enqueue→lease phase (the last lease when the job was
@@ -84,11 +83,8 @@ func (t JobTimeline) EndToEnd() (time.Duration, bool) {
 }
 
 // Done reports a fully-recorded successful lifecycle (failed jobs stay
-// not-done; their Err says why).
+// not-done; their Err says why). A done job's trace has an engine lane.
 func (t JobTimeline) Done() bool { return !t.Stored.IsZero() }
 
 // RingKey keys a timeline by its job's content address.
 func (t JobTimeline) RingKey() string { return t.Key }
-
-// HasTrace reports whether the timeline can serve a stitched trace.
-func (t JobTimeline) HasTrace() bool { return t.Trace != nil && len(t.Trace.Spans) > 0 }

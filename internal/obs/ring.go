@@ -4,14 +4,13 @@ import (
 	"sync"
 	"time"
 
-	"flagsim/internal/sim"
+	"flagsim/internal/sweep"
 )
 
 // RunSummary is one request's after-the-fact record in the run ring:
-// identity, outcome, timing, and — for computed (non-cache-hit) single
-// runs — the engine's span trace, so an operator who spots a p99 outlier
-// in the latency histogram can pull that run's timeline without having
-// asked for tracing up front.
+// identity, outcome, timing, and — for a single run — its resolved spec,
+// so an operator who spots a p99 outlier in the latency histogram can
+// replay that run's timeline without having asked for tracing up front.
 type RunSummary struct {
 	ID       string        `json:"id"`
 	Endpoint string        `json:"endpoint"`
@@ -26,18 +25,15 @@ type RunSummary struct {
 	Events   uint64        `json:"events,omitempty"`
 	Runs     int           `json:"runs,omitempty"`
 
-	// Procs and Trace back the Chrome-trace export; both are nil when no
-	// spans were captured (cache hits, sweeps, errors, fleet runs). They
-	// are shared, not copied — treat them as read-only.
-	Procs []string   `json:"-"`
-	Trace []sim.Span `json:"-"`
+	// Resolved is a /v1/run's resolved spec, which the run's trace is
+	// replayed from: the engine is deterministic, so a fresh run of the
+	// spec draws the same spans as the one that answered. Zero for
+	// sweeps.
+	Resolved sweep.Spec `json:"-"`
 }
 
 // RingKey keys a summary by its run ID.
 func (s RunSummary) RingKey() string { return s.ID }
-
-// HasTrace reports whether the summary can serve a Chrome trace.
-func (s RunSummary) HasTrace() bool { return len(s.Trace) > 0 }
 
 // Keyed is an entry of a Ring; RingKey names it for Get and Update.
 type Keyed interface{ RingKey() string }
@@ -46,9 +42,8 @@ type Keyed interface{ RingKey() string }
 // insert evicting the oldest. The first insert of a key wins: inserting
 // a key that is still resident is a no-op, so a repeated run ID or a
 // dedup'd job resubmission cannot reset a live entry. It is safe for
-// concurrent use; Update mutates in place under the ring lock. The bound
-// also bounds any memory an entry holds (spans, worker traces): it is
-// dropped with the entry when the slot is reused.
+// concurrent use; Update mutates in place under the ring lock. An entry
+// holds no engine spans, so the ring's memory is fixed by its size.
 type Ring[V Keyed] struct {
 	mu    sync.Mutex
 	buf   []V

@@ -54,8 +54,9 @@ type RunCall struct {
 	// Key is Spec.Key(), computed once by the front end.
 	Key [sha256.Size]byte
 	// Trace asks for a fresh in-process run with its engine spans
-	// (?trace=chrome); the front end streams them as a Chrome trace in
-	// place of a body.
+	// (?trace=chrome, or a replay for /v1/runs/{id}/trace); the front
+	// end streams them as a Chrome trace in place of a body. A traced
+	// call reads Spec alone.
 	Trace bool
 }
 
@@ -78,8 +79,8 @@ type Reply struct {
 	// in-process; zero otherwise.
 	Makespan time.Duration
 	Events   uint64
-	// Procs and Spans are the processor names and the engine spans
-	// captured for this request; nil when nothing was captured.
+	// Procs and Spans are a traced run's processor names and engine
+	// spans; nil for any other run.
 	Procs []string
 	Spans []sim.Span
 }
@@ -99,6 +100,9 @@ func (e *StatusError) Unwrap() error { return e.Err }
 // Frontend is the HTTP request path shared by both daemons. Create one
 // with NewFrontend; it is safe for concurrent use.
 type Frontend struct {
+	// name is the daemon's name: its metric prefix and its traces'
+	// process name.
+	name    string
 	cfg     Config
 	backend Backend
 	metrics *metrics
@@ -109,14 +113,15 @@ type Frontend struct {
 // NewFrontend mounts the shared routes in front of b: POST /v1/run,
 // POST /v1/sweep, GET /v1/runs, GET /v1/runs/{id}/trace and GET
 // /metrics for reg. name prefixes the request metric families it
-// registers on reg ("flagsimd" gives flagsimd_requests_total). Of cfg
+// registers on reg ("flagsimd" gives flagsimd_requests_total) and names
+// the process in the Chrome traces it serves. Of cfg
 // it reads MaxSweepSpecs, RequestTimeout, DrainTimeout, Logger,
 // SlowRequest, RunRingSize, Capture and RetryAfter; the other fields
 // belong to the local backend.
 func NewFrontend(name string, b Backend, reg *obs.Registry, cfg Config) *Frontend {
 	cfg = cfg.withDefaults()
 	f := &Frontend{
-		cfg: cfg, backend: b, metrics: newMetrics(name, reg),
+		name: name, cfg: cfg, backend: b, metrics: newMetrics(name, reg),
 		ring: obs.NewRing[obs.RunSummary](cfg.RunRingSize),
 		mux:  http.NewServeMux(),
 	}
@@ -245,7 +250,7 @@ func (f *Frontend) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sum := summary(r)
-	sum.Spec = spec.Label()
+	sum.Spec, sum.Resolved = spec.Label(), spec
 	key := spec.Key()
 	sum.SpecHash = hex.EncodeToString(key[:8])
 	traceMode := r.URL.Query().Get("trace")
@@ -264,22 +269,15 @@ func (f *Frontend) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	sum.Runs, sum.CacheHit = 1, rep.CacheHit
 	sum.Makespan, sum.Events = rep.Makespan, rep.Events
-	if len(rep.Spans) > 0 {
-		sum.Procs, sum.Trace = rep.Procs, rep.Spans
-	}
-	if !call.Trace {
-		if raw, ok := rep.Body.([]byte); ok {
-			writeBody(w, http.StatusOK, raw)
-			return
-		}
-		WriteJSON(w, http.StatusOK, rep.Body)
+	if call.Trace {
+		f.writeTrace(ctx, w, rep)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := writeEngineTrace(w, sum.Procs, sum.Trace); err != nil {
-		f.cfg.Logger.LogAttrs(ctx, slog.LevelError, "trace stream failed",
-			slog.String("run_id", call.RunID), slog.String("error", err.Error()))
+	if raw, ok := rep.Body.([]byte); ok {
+		writeBody(w, http.StatusOK, raw)
+		return
 	}
+	WriteJSON(w, http.StatusOK, rep.Body)
 }
 
 func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {

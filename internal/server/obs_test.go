@@ -99,10 +99,11 @@ func TestMetricsCoverWholeStack(t *testing.T) {
 }
 
 // TestEngineMetricsInstrumentedRuns pins which computes leave the
-// engine's fast path: untraced, fault-free sweeps never do (the pool
-// publishes their Results and installs nothing), while a cold /v1/run
-// (its span collector), a ?trace=chrome run and every faulted compute
-// do, and flagsim_engine_instrumented_runs_total counts exactly those.
+// engine's fast path: untraced, fault-free computes never do, cold
+// /v1/runs included (the pool publishes their Results and installs
+// nothing), while a ?trace=chrome run, a trace GET (which replays its
+// run traced) and every faulted compute do, and
+// flagsim_engine_instrumented_runs_total counts exactly those.
 func TestEngineMetricsInstrumentedRuns(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	sweeps := []string{
@@ -154,22 +155,38 @@ func TestEngineMetricsInstrumentedRuns(t *testing.T) {
 		t.Errorf("memo holds %d entries from %d misses, want the %d fast-path computes", st.Entries, st.Misses, computed)
 	}
 
+	// The cold run pins its run ID, so a later row can fetch its trace.
+	const coldID = "00000000000000c1"
+	const run = `{"flag":"mauritius","scenario":4,"seed":1}`
 	instrumented := 0
 	for _, call := range []struct {
-		path, body string
-		computes   int
+		method, path, body, runID string
+		computes, instruments     int
 	}{
-		{"/v1/run", `{"flag":"mauritius","scenario":4,"seed":1}`, 1},
-		{"/v1/run", `{"flag":"mauritius","scenario":4,"seed":1}`, 0}, // warm
-		{"/v1/run?trace=chrome", `{"flag":"mauritius","scenario":4,"seed":1}`, 1},
-		{"/v1/sweep", `{"base":{"flag":"jordan","scenario":3,"faults":{"preset":"light","seed":3}},"seeds":[1,2,3]}`, 3},
+		{http.MethodPost, "/v1/run", run, coldID, 1, 0},
+		{http.MethodPost, "/v1/run", run, "", 0, 0}, // warm
+		{http.MethodGet, "/v1/runs/" + coldID + "/trace", "", "", 1, 1},
+		{http.MethodPost, "/v1/run?trace=chrome", run, "", 1, 1},
+		{http.MethodPost, "/v1/sweep", `{"base":{"flag":"jordan","scenario":3,"faults":{"preset":"light","seed":3}},"seeds":[1,2,3]}`, "", 3, 3},
 	} {
-		resp, raw := postJSON(t, ts.URL+call.path, call.body)
+		req, err := http.NewRequest(call.method, ts.URL+call.path, strings.NewReader(call.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if call.runID != "" {
+			req.Header.Set("X-Run-ID", call.runID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status %d: %s", call.path, resp.StatusCode, raw)
+			t.Fatalf("%s %s status %d: %s", call.method, call.path, resp.StatusCode, raw)
 		}
 		computed += call.computes
-		instrumented += call.computes
+		instrumented += call.instruments
 		out = scrape(t, ts.URL)
 		if v := metricValue(t, out, "flagsim_engine_instrumented_runs_total"); v != float64(instrumented) {
 			t.Errorf("after %s %s: instrumented runs = %g, want %d", call.path, call.body, v, instrumented)
@@ -204,8 +221,9 @@ func TestRunIDPlumbing(t *testing.T) {
 }
 
 // TestRunsRingAndTraceEndpoint exercises the after-the-fact trace path:
-// a computed run's spans are retrievable by run ID as a Chrome trace; a
-// cache hit's are not, with a 404 explaining why.
+// a /v1/run's trace is replayed by run ID as a Chrome trace, the same
+// bytes for the cold run and for a warm hit of its spec; a sweep, a run
+// that did not answer 200 and an unknown ID answer 404.
 func TestRunsRingAndTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, _ := postJSON(t, ts.URL+"/v1/run", `{"flag":"mauritius","scenario":4,"seed":9}`)
@@ -236,32 +254,40 @@ func TestRunsRingAndTraceEndpoint(t *testing.T) {
 	}
 
 	// The computed run has a trace.
-	resp, raw = getBody(t, ts.URL+"/v1/runs/"+cold+"/trace")
+	resp, coldTrace := getBody(t, ts.URL+"/v1/runs/"+cold+"/trace")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace status %d: %s", resp.StatusCode, raw)
+		t.Fatalf("trace status %d: %s", resp.StatusCode, coldTrace)
 	}
-	assertChromeTrace(t, raw)
+	assertChromeTrace(t, coldTrace)
 
-	// The cache hit does not, and the 404 says so.
+	// So has the cache hit: the same spec replays to the same bytes.
 	resp, raw = getBody(t, ts.URL+"/v1/runs/"+warm+"/trace")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cache-hit trace status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cache-hit trace status %d: %s", resp.StatusCode, raw)
 	}
-	if !strings.Contains(string(raw), "trace=chrome") {
-		t.Errorf("404 body should point at ?trace=chrome: %s", raw)
+	if !bytes.Equal(raw, coldTrace) {
+		t.Errorf("cache-hit trace differs from the cold run's:\n%.300s\n%.300s", raw, coldTrace)
 	}
 
-	// Unknown IDs 404 too.
-	resp, _ = getBody(t, ts.URL+"/v1/runs/ffffffffffffffff/trace")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown id status %d", resp.StatusCode)
+	// A sweep, a run the engine rejected and an unknown ID have none.
+	resp, _ = postJSON(t, ts.URL+"/v1/sweep", `{"base":{"flag":"mauritius","seed":9},"scenarios":[1,2]}`)
+	sweep := resp.Header.Get("X-Run-ID")
+	resp, _ = postJSON(t, ts.URL+"/v1/run", `{"skills":[0]}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("zero-skill run status %d, want 422", resp.StatusCode)
+	}
+	rejected := resp.Header.Get("X-Run-ID")
+	for name, id := range map[string]string{"sweep": sweep, "rejected run": rejected, "unknown id": "ffffffffffffffff"} {
+		if resp, raw = getBody(t, ts.URL+"/v1/runs/"+id+"/trace"); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s trace status %d, want 404: %s", name, resp.StatusCode, raw)
+		}
 	}
 }
 
 // TestTraceChromeQueryStreamsTrace checks POST /v1/run?trace=chrome:
 // the response is a Chrome trace, it is produced even when the spec is
-// already memoized (cache bypass), and the run lands in the ring with
-// its trace.
+// already memoized (cache bypass), and the run's ring entry replays to
+// the same bytes.
 func TestTraceChromeQueryStreamsTrace(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	// Warm the cache first so the bypass is what's under test.
@@ -272,8 +298,12 @@ func TestTraceChromeQueryStreamsTrace(t *testing.T) {
 	}
 	assertChromeTrace(t, raw)
 	id := resp.Header.Get("X-Run-ID")
-	if sum, ok := s.ring.Get(id); !ok || !sum.HasTrace() {
-		t.Errorf("traced run %s not in ring with trace", id)
+	if _, ok := s.ring.Get(id); !ok {
+		t.Errorf("traced run %s not in the ring", id)
+	}
+	resp, replay := getBody(t, ts.URL+"/v1/runs/"+id+"/trace")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(replay, raw) {
+		t.Errorf("ring entry replays with status %d to other bytes:\n%.300s\n%.300s", resp.StatusCode, replay, raw)
 	}
 
 	resp, _ = postJSON(t, ts.URL+"/v1/run?trace=perfetto", `{"flag":"mauritius"}`)

@@ -145,8 +145,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the HTTP simulation service: the shared Frontend plus the
-// local Backend (admission gate, sweep pool, span capture). Create one
-// with New; it is safe for concurrent use.
+// local Backend (admission gate, sweep pool). Create one with New; it is
+// safe for concurrent use.
 type Server struct {
 	*Frontend
 	sweeper *sweep.Sweeper
@@ -230,39 +230,24 @@ func (s *Server) Run(ctx context.Context, call RunCall) (Reply, error) {
 		return Reply{}, err
 	}
 	defer s.gate.release()
-	// A run's captured spans go to the run ring for /v1/runs/{id}/trace;
-	// the front end streams a traced run's spans in place of a body.
 	if call.Trace {
 		// Traced runs bypass the memo cache: a cache hit has no engine
-		// run to observe, and the whole point here is a fresh timeline.
-		// The pool never sees this run, so it is published here.
-		var collector sim.SpanCollector
-		res, err := call.Spec.RunOnce(ctx, &collector)
-		if err != nil {
-			return Reply{}, runError(err)
+		// run to observe. The pool never sees this run, so it is
+		// published here.
+		rep, res, err := TracedRun(ctx, call.Spec)
+		if err == nil {
+			s.engine.ObserveResult(res)
 		}
-		s.engine.ObserveResult(res)
-		return Reply{Makespan: res.Makespan, Events: res.Events,
-			Procs: procNames(res), Spans: collector.Spans}, nil
+		return rep, err
 	}
 	if rec, ok := s.sweeper.Lookup(call.Key); ok {
 		return runReply(call, rec, true, 0)
 	}
-	// A per-request span collector rides along with the compute: if
-	// this request is the one that computes, its spans land in the run
-	// ring; if it waits for another request's compute, the engine never
-	// runs for it and the collector stays empty. The collector is an
-	// event probe, so this one compute takes the instrumented path.
-	var collector sim.SpanCollector
-	run := s.sweeper.RunProbed(ctx, []sweep.Spec{call.Spec}, &collector).Runs[0]
+	run := s.sweeper.Run(ctx, []sweep.Spec{call.Spec}).Runs[0]
 	if run.Err != nil {
 		return Reply{}, runError(run.Err)
 	}
-	rep, err := runReply(call, run.Record, run.CacheHit, run.Elapsed)
-	if err == nil && len(collector.Spans) > 0 {
-		rep.Procs, rep.Spans = procNames(run.Result), collector.Spans
-	}
-	return rep, err
+	return runReply(call, run.Record, run.CacheHit, run.Elapsed)
 }
 
 // runError maps a failed run onto the status table: a cancellation

@@ -28,9 +28,9 @@ func (r *Result) WriteChromeTrace(w io.Writer) error {
 
 // WriteChromeTraceSpans exports an arbitrary span timeline in the Chrome
 // trace-event format — the span-level core of WriteChromeTrace, usable
-// with spans reconstructed through a SpanCollector probe (the HTTP
-// service's run ring serves traces this way) as well as with a traced
-// Result. procs names the processor threads; Span.Proc indexes it.
+// with spans reconstructed through a SpanCollector probe as well as with
+// a traced Result. procs names the processor threads; Span.Proc indexes
+// it.
 func WriteChromeTraceSpans(w io.Writer, procs []string, spans []Span) error {
 	type traceEvent struct {
 		Name string            `json:"name"`
@@ -59,20 +59,10 @@ func WriteChromeTraceSpans(w io.Writer, procs []string, spans []Span) error {
 		})
 	}
 	for _, sp := range spans {
-		name := sp.Kind.String()
-		args := map[string]string{}
-		switch sp.Kind {
-		case SpanPaint:
-			name = "paint " + sp.Color.String()
-			args["cell"] = sp.Cell.String()
-		case SpanWaitImplement:
-			name = "wait " + sp.Color.String()
-		case SpanPickup, SpanPutDown:
-			args["color"] = sp.Color.String()
-		}
+		name, cat, args := sp.ChromeEvent()
 		events = append(events, traceEvent{
 			Name: name,
-			Cat:  sp.Kind.String(),
+			Cat:  cat,
 			Ph:   "X",
 			TS:   sp.Start.Microseconds(),
 			Dur:  (sp.End - sp.Start).Microseconds(),
@@ -91,6 +81,25 @@ func WriteChromeTraceSpans(w io.Writer, procs []string, spans []Span) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
+}
+
+// ChromeEvent names the span as a Chrome trace event: "paint red" with
+// a cell arg, "wait blue", pickup and putdown with a color arg, any
+// other kind by its name; the category is always the kind's name. Every
+// Chrome trace writer names engine spans through it.
+func (sp Span) ChromeEvent() (name, cat string, args map[string]string) {
+	name = sp.Kind.String()
+	args = map[string]string{}
+	switch sp.Kind {
+	case SpanPaint:
+		name = "paint " + sp.Color.String()
+		args["cell"] = sp.Cell.String()
+	case SpanWaitImplement:
+		name = "wait " + sp.Color.String()
+	case SpanPickup, SpanPutDown:
+		args["color"] = sp.Color.String()
+	}
+	return name, sp.Kind.String(), args
 }
 
 // TraceDuration reports the total traced span time per kind — a quick

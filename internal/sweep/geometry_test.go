@@ -95,10 +95,10 @@ type cancelProbe struct {
 func (p *cancelProbe) Complete(int, workplan.Task, time.Duration) { p.once.Do(p.cancel) }
 
 func TestCanceledBatchLeavesNoGeometry(t *testing.T) {
-	sw := New(Options{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	batch := sw.RunProbed(ctx, genExecSpecs(100, 8), &cancelProbe{cancel: cancel})
+	sw := New(Options{Workers: 2, Probes: []sim.Probe{&cancelProbe{cancel: cancel}}})
+	batch := sw.Run(ctx, genExecSpecs(100, 8))
 	canceled := 0
 	for _, run := range batch.Runs {
 		if errors.Is(run.Err, sim.ErrCanceled) {

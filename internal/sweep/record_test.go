@@ -199,11 +199,11 @@ func (g *gateProbe) Complete(int, workplan.Task, time.Duration) {
 // Lookups spin while the compute finishes, so under -race a Lookup that
 // read the entry before its compute was done would be reported.
 func TestLookupSkipsInFlight(t *testing.T) {
-	s := New(Options{Workers: 1, Encode: testEncode})
-	spec := Spec{Flag: "mauritius", Scenario: core.S2, Kind: implement.ThickMarker, Seed: 4}
 	gate := &gateProbe{entered: make(chan struct{}), release: make(chan struct{})}
+	s := New(Options{Workers: 1, Encode: testEncode, Probes: []sim.Probe{gate}})
+	spec := Spec{Flag: "mauritius", Scenario: core.S2, Kind: implement.ThickMarker, Seed: 4}
 	done := make(chan *Result)
-	go func() { done <- s.RunProbed(nil, []Spec{spec}, gate) }()
+	go func() { done <- s.Run(nil, []Spec{spec}) }()
 	<-gate.entered
 	if _, ok := s.Lookup(spec.Key()); ok {
 		t.Fatal("Lookup returned an in-flight compute")

@@ -260,22 +260,7 @@ func (s *Sweeper) PoolDepth() (running, queued int) {
 // (or a concurrent duplicate with a live context) recomputes instead of
 // inheriting a poisoned result. A nil ctx runs unchecked.
 func (s *Sweeper) Run(ctx context.Context, specs []Spec) *Result {
-	return s.RunProbed(ctx, specs)
-}
-
-// RunProbed is Run with additional batch-scoped probes installed on this
-// batch's computes, after the pool-wide Options.Probes. Unlike pool-wide
-// probes, batch probes only ever see this batch's runs — a fresh
-// sim.SpanCollector per single-spec batch is the intended use (that is
-// how the HTTP service captures a request's trace) — but within a batch
-// computes still run concurrently, so a collector is only safe when the
-// batch holds one spec.
-func (s *Sweeper) RunProbed(ctx context.Context, specs []Spec, extra ...sim.Probe) *Result {
 	start := time.Now()
-	probes := s.probes
-	if len(extra) > 0 {
-		probes = append(append([]sim.Probe(nil), s.probes...), extra...)
-	}
 	batch := &Result{Runs: make([]RunResult, len(specs)), Workers: s.workers}
 	var hits, misses, tierHits, tierMisses atomic.Uint64
 	share := s.newGeoShare(specs)
@@ -320,7 +305,7 @@ func (s *Sweeper) RunProbed(ctx context.Context, specs []Spec, extra ...sim.Prob
 				if f, geo, err := share.resolve(i); err != nil {
 					e.err = err
 				} else {
-					res, e.err = specs[i].runOn(ctx, probes, f, geo)
+					res, e.err = specs[i].runOn(ctx, s.probes, f, geo)
 				}
 				elapsed := time.Since(t0)
 				if e.err == nil {

@@ -12,6 +12,7 @@ import (
 
 	"flagsim/internal/core"
 	"flagsim/internal/fault"
+	"flagsim/internal/flagspec"
 	"flagsim/internal/implement"
 	"flagsim/internal/sim"
 	"flagsim/internal/workplan"
@@ -323,32 +324,55 @@ func TestPoolProbesObserveComputesOnly(t *testing.T) {
 	}
 }
 
-// TestRunProbedBatchProbe checks that a batch-scoped probe (RunProbed's
-// extra argument) observes the batch's compute, and that a span collector
-// installed this way reconstructs the run's trace — the HTTP service's
-// per-request tracing path.
-func TestRunProbedBatchProbe(t *testing.T) {
-	s := New(Options{Workers: 2})
-	spec := Spec{Flag: "mauritius", Scenario: core.S4, Kind: implement.ThickMarker, Seed: 3}
-	var collector sim.SpanCollector
-	batch := s.RunProbed(nil, []Spec{spec}, &collector)
-	if err := batch.Err(); err != nil {
+// TestPooledSpansEqualRunOnce: a run's engine spans are a pure function
+// of its spec, which is what lets a daemon replay a trace with RunOnce
+// instead of capturing it when it computes. For every builtin flag and
+// two generated ones under each executor and scenarios 1 to 4, plus a
+// heavily faulted and an eager-release spec, a one-spec pool batch with
+// a collector installed through Options.Probes collects the same spans
+// as RunOnce with one, and a second RunOnce agrees.
+func TestPooledSpansEqualRunOnce(t *testing.T) {
+	flags := append(flagspec.Names(), "gen:v1:42:1", "gen:v1:7:3")
+	var specs []Spec
+	for _, flag := range flags {
+		for _, exec := range []Exec{ExecStatic, ExecSteal, ExecDynamic} {
+			for scen := core.S1; scen <= core.S4; scen++ {
+				spec := Spec{Exec: exec, Flag: flag, Scenario: scen, Kind: implement.ThickMarker, Seed: uint64(scen)}
+				if exec == ExecDynamic {
+					s, _ := core.ScenarioByID(scen)
+					spec.Workers = s.Workers
+				}
+				specs = append(specs, spec)
+			}
+		}
+	}
+	heavy, err := fault.Preset("heavy", 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if batch.Runs[0].CacheHit {
-		t.Fatal("first run of a fresh sweeper hit the cache")
-	}
-	if len(collector.Spans) == 0 {
-		t.Fatal("batch probe collected no spans")
-	}
-	// The same spec via RunOnce (cache bypass) must see identical spans.
-	var again sim.SpanCollector
-	if _, err := spec.RunOnce(nil, &again); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(collector.Spans, again.Spans) {
-		t.Fatalf("RunOnce spans differ from pooled compute: %d vs %d",
-			len(again.Spans), len(collector.Spans))
+	specs = append(specs,
+		Spec{Flag: "mauritius", Scenario: core.S4Pipelined, Kind: implement.ThickMarker, Seed: 7, Faults: heavy},
+		Spec{Flag: "jordan", Scenario: core.S3, Kind: implement.ThickMarker, Seed: 2, Hold: sim.EagerRelease})
+	for _, spec := range specs {
+		var pooled, once, again sim.SpanCollector
+		run := New(Options{Workers: 1, Probes: []sim.Probe{&pooled}}).Run(nil, []Spec{spec}).Runs[0]
+		_, err := spec.RunOnce(nil, &once)
+		if fmt.Sprint(run.Err) != fmt.Sprint(err) {
+			t.Fatalf("%s: pooled error %v, RunOnce error %v", spec.Label(), run.Err, err)
+		}
+		if err != nil {
+			continue
+		}
+		if len(pooled.Spans) == 0 {
+			t.Fatalf("%s: the pooled compute collected no spans", spec.Label())
+		}
+		if !reflect.DeepEqual(pooled.Spans, once.Spans) {
+			t.Fatalf("%s: RunOnce collected %d spans, the pooled compute %d, and they differ",
+				spec.Label(), len(once.Spans), len(pooled.Spans))
+		}
+		if _, err := spec.RunOnce(nil, &again); err != nil || !reflect.DeepEqual(once.Spans, again.Spans) {
+			t.Fatalf("%s: a second RunOnce collected other spans (err %v)", spec.Label(), err)
+		}
 	}
 }
 
