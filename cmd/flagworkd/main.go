@@ -9,7 +9,8 @@
 //	flagworkd -dispatcher http://localhost:9090
 //	flagworkd -name rack3-7
 //	flagworkd -cache-dir /var/cache/flagwork   # local disk result tier:
-//	                                           # survives restarts, shareable
+//	                                           # survives restarts, one
+//	                                           # worker per dir at a time
 //	flagworkd -metrics-addr 127.0.0.1:9101     # flagsim_dist_worker_* families
 //
 // Every job runs on the engine's fast path and its report carries the

@@ -229,7 +229,7 @@ func (d *Dispatcher) Queue() *Queue { return d.queue }
 func (d *Dispatcher) Store() *ResultStore { return d.store }
 
 // Close syncs and releases the durable state.
-func (d *Dispatcher) Close() error { return d.queue.Close() }
+func (d *Dispatcher) Close() error { return errors.Join(d.queue.Close(), d.store.Close()) }
 
 // Serve serves on ln until ctx is canceled, then drains gracefully (see
 // server.Frontend.Serve). A background ticker expires overdue leases
@@ -695,8 +695,10 @@ func (d *Dispatcher) handleReport(w http.ResponseWriter, r *http.Request) {
 		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "recorded"})
 		return
 	}
-	// Persist before journaling completion: a crash between the two is
-	// self-healed at recovery (the store has the key → job completed).
+	// Persist before completing: the durable stored result is the job's
+	// record, so its completion frame needs no fsync of its own, and a
+	// crash that loses that frame is self-healed at recovery (the store
+	// has the key → job completed).
 	if err := d.store.put(key, req.result); err != nil {
 		if errors.Is(err, ErrResultMismatch) {
 			// The fleet disagreed about a pure function. Keep the first

@@ -1,7 +1,12 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"flagsim/internal/wire"
@@ -91,6 +96,96 @@ func FuzzDistWireDecode(f *testing.F) {
 			}
 		} else {
 			check(t, "decodeResult", err)
+		}
+	})
+}
+
+// FuzzResultLogOpen opens arbitrary bytes as a result log. Open never
+// panics and allocates no more than maxFrame, whatever a length field
+// claims; every payload the store serves comes from a complete,
+// checksummed frame of the input and decodes as a result; and a Put made
+// after the open survives a reopen, along with every frame the open
+// indexed.
+func FuzzResultLogOpen(f *testing.F) {
+	frame1 := encodeFrame(storeKey(1), testResult(1))
+	frame2 := encodeFrame(storeKey(2), testResult(2))
+	undecodable := encodeFrame(storeKey(2), []byte(`{"x":1}`))
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	badSum := cat(frame1)
+	badSum[len(badSum)-1] ^= 1
+	huge := cat(frame2[:frameHeader])
+	binary.BigEndian.PutUint32(huge[frameHeader-4:], 0xffffffff)
+	oldVersion := cat(frame1)
+	oldVersion[5] = 1
+	f.Add([]byte{})
+	f.Add(frame1)
+	f.Add(cat(frame1, frame2))
+	f.Add(cat(frame1, frame2[:len(frame2)/2]))
+	f.Add(cat(frame1, []byte("garbage")))
+	f.Add(cat(badSum, frame2))
+	f.Add(cat(frame1, huge, frame2))
+	f.Add(cat(oldVersion, frame2))
+	f.Add(cat(undecodable, frame1, frame2))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		sdir := filepath.Join(dir, storeDirName)
+		if err := os.MkdirAll(sdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(logPath(sdir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := OpenResultStore(dir)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFrame {
+			t.Fatalf("open of %d bytes allocated %d bytes", len(data), grew)
+		}
+		indexed := map[Key]bool{}
+		for key := range s.index {
+			indexed[key] = true
+		}
+		for key := range indexed {
+			payload, ok := s.Get(key)
+			if !ok {
+				continue // purged: the payload is not a result
+			}
+			if !bytes.Contains(data, encodeFrame(key, payload)) {
+				t.Fatalf("served %q under %x, which no complete frame of the input holds", payload, key[:4])
+			}
+			if _, err := decodeResult(payload); err != nil {
+				t.Fatalf("served a payload that is not a result: %v", err)
+			}
+		}
+		put := storeKey(0)
+		for b := 1; indexed[put]; b++ {
+			put = storeKey(byte(b))
+		}
+		if err := s.Put(put, testResult(99)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := OpenResultStore(dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer s2.Close()
+		if got, ok := s2.Get(put); !ok || !bytes.Equal(got, testResult(99)) {
+			t.Fatalf("the Put after open did not survive a reopen: %q, %v", got, ok)
+		}
+		if s2.Len() != len(indexed)+1 {
+			t.Fatalf("reopen indexes %d keys, want the %d the open indexed and the Put", s2.Len(), len(indexed))
+		}
+		for key := range indexed {
+			if !s2.Has(key) {
+				t.Fatalf("reopen lost %x", key[:4])
+			}
 		}
 	})
 }

@@ -1,16 +1,19 @@
 package dist
 
-// The queue's durability layer: an append-only, fsynced journal of
+// The queue's durability layer: an append-only journal of
 // enqueue/complete operations plus a periodically-rewritten snapshot.
-// Recovery loads the snapshot, replays the journal on top, and tolerates
-// a torn final frame (a crash mid-append) by truncating it — every frame
-// before a torn tail was acknowledged and survives.
+// Enqueue and failed-completion frames are fsynced before they are
+// acknowledged; an ok completion's frame is not, because the stored
+// result is its durable record (see Queue.Complete). Recovery loads the
+// snapshot, replays the journal on top, and tolerates a torn final frame
+// (a crash mid-append) by truncating it — every fsynced frame before a
+// torn tail survives.
 //
 // On-disk layout inside the dispatcher's data directory:
 //
-//	queue.snap     atomic JSON snapshot of outstanding jobs
-//	queue.journal  "FDQJ" | u16 version | u16 flags, then frames
-//	results/       the content-addressed result store (store.go)
+//	queue.snap         atomic JSON snapshot of outstanding jobs
+//	queue.journal      "FDQJ" | u16 version | u16 flags, then frames
+//	results/store.log  the content-addressed result log (store.go)
 //
 // Each journal frame is u32 length | u8 op | payload, where length
 // covers op+payload. opEnqueue's payload is the job's JSON; opComplete's
@@ -40,8 +43,11 @@ const (
 	opEnqueue  byte = 1
 	opComplete byte = 2
 
-	// maxFrame bounds one frame; a journal claiming more is corrupt, not
-	// merely torn (no legitimate job encodes anywhere near this large).
+	// maxFrame bounds one journal frame and one stored result's payload,
+	// the size of the largest report body the dispatcher reads. A journal
+	// frame claiming more is corrupt, not merely torn (no legitimate job
+	// encodes anywhere near this large); a result-log frame claiming more
+	// ends the log.
 	maxFrame = 1 << 20
 )
 
@@ -267,7 +273,7 @@ func loadSnapshot(dir string) ([]Job, error) {
 // writeFileAtomic replaces path with data: write a temp file beside it,
 // fsync it, rename it into place, fsync the directory. A crash at any
 // point leaves either the old or the new file intact, never a mix, plus
-// at most a stray "<name>.tmp*" file that no reader takes for an entry.
+// at most a stray "<name>.tmp*" file that no reader opens.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")

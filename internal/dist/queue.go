@@ -10,14 +10,16 @@ package dist
 // forgets them, which requeues whatever was in flight; for pure,
 // content-addressed jobs re-execution is always safe, so the queue
 // journals only the two transitions that matter (enqueued, completed)
-// and keeps the fsync count at one per enqueue batch and one per
-// completion.
+// and keeps the fsync count at one per enqueue batch and one per failed
+// completion. An ok completion costs no fsync of its own: its result,
+// stored durably before it completes, is its durable record.
 //
 // The queue holds only outstanding and failed jobs. A job that
 // completes ok leaves it: the result store is the only record of a
 // finished job, so "done" means "stored".
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -87,9 +89,8 @@ type lease struct {
 type Queue struct {
 	dir string
 	now func() time.Time
-	// store, when non-nil, holds the results of completed jobs: a job
-	// whose result it holds is done. With a nil store a completed job is
-	// simply forgotten.
+	// store holds the results of completed jobs: a job whose result it
+	// holds is done.
 	store *ResultStore
 
 	mu      sync.Mutex
@@ -104,11 +105,14 @@ type Queue struct {
 	completionsSinceCompact       int
 }
 
-// OpenQueue recovers (or creates) the queue persisted under dir. store,
-// when non-nil, self-heals the one unjournaled gap: a job whose result
-// already reached the store — the dispatcher persists results before
-// journaling completion — is completed instead of requeued.
+// OpenQueue recovers (or creates) the queue persisted under dir. store
+// is required: it self-heals the completions a crash can lose. A job
+// whose result already reached the store — the dispatcher persists
+// results before it completes a job — is completed instead of requeued.
 func OpenQueue(dir string, store *ResultStore, now func() time.Time) (*Queue, error) {
+	if store == nil {
+		return nil, errors.New("dist: a queue needs a result store")
+	}
 	if now == nil {
 		now = time.Now
 	}
@@ -148,14 +152,18 @@ func OpenQueue(dir string, store *ResultStore, now func() time.Time) (*Queue, er
 			}
 		}
 	}
-	// Self-heal: a crash between the store write and the completion
-	// journal frame leaves a finished job looking pending. Its result is
-	// already durable, so finish it now rather than re-running it.
-	if store != nil {
-		for key, qj := range q.jobs {
-			if qj.state == statePending && store.Has(key) {
-				q.markComplete(key, true, "")
-			}
+	// Self-heal: a crash can lose a finished job's completion frame —
+	// between the store write and the frame, or after an ok completion
+	// whose frame was not synced yet — and leave the job looking pending.
+	// Its result is already durable, so finish it now rather than
+	// re-running it. The check is a verified read, not Has: done means
+	// stored, so a result that does not decode leaves its job pending.
+	for key, qj := range q.jobs {
+		if qj.state != statePending {
+			continue
+		}
+		if _, ok := store.read(key); ok {
+			q.markComplete(key, true, "")
 		}
 	}
 	q.rebuildPending()
@@ -192,7 +200,7 @@ func (q *Queue) Enqueue(jobs []Job) (added, deduped int, err error) {
 	var fresh []Key
 	for _, job := range jobs {
 		key := job.Key()
-		if _, held := q.jobs[key]; held || q.stored(key) {
+		if _, held := q.jobs[key]; held || q.store.Has(key) {
 			deduped++
 			q.deduped++
 			continue
@@ -214,11 +222,6 @@ func (q *Queue) Enqueue(jobs []Job) (added, deduped int, err error) {
 		q.pending = append(q.pending, fresh...)
 	}
 	return added, deduped, nil
-}
-
-// stored reports whether the store holds key's result.
-func (q *Queue) stored(key Key) bool {
-	return q.store != nil && q.store.Has(key)
 }
 
 // Lease hands the oldest pending job to worker under a lease of the
@@ -259,12 +262,17 @@ func (q *Queue) Renew(leaseID string, ttl time.Duration) (key Key, worker string
 	return l.key, l.worker, true
 }
 
-// Complete records a job's outcome durably (journaled and fsynced) and
-// wakes every waiter. Reports against an expired or unknown lease are
-// still accepted while the job is outstanding: the result of a pure spec
-// is valid no matter which lease computed it. A report for a job that is
-// not outstanding changes nothing: the first report won, and callers
-// check Known before they report.
+// Complete records a job's outcome in the journal and wakes every
+// waiter. A failed outcome is fsynced before Complete returns. An ok one
+// is not: the caller stores the result durably before it completes the
+// job, and that stored result is the job's durable record. Its frame
+// becomes durable with the journal's next fsync (an enqueue, a failed
+// completion, a compaction or Close), and a crash that loses it first is
+// healed from the store at OpenQueue. Reports against an expired or
+// unknown lease are still accepted while the job is outstanding: the
+// result of a pure spec is valid no matter which lease computed it. A
+// report for a job that is not outstanding changes nothing: the first
+// report won, and callers check Known before they report.
 func (q *Queue) Complete(leaseID string, key Key, ok bool, errMsg string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -280,8 +288,11 @@ func (q *Queue) Complete(leaseID string, key Key, ok bool, errMsg string) error 
 	if err := q.j.appendComplete(key, ok, errMsg); err != nil {
 		return err
 	}
-	if err := q.j.sync(); err != nil {
-		return err
+	if !ok {
+		// No stored result stands for a failure.
+		if err := q.j.sync(); err != nil {
+			return err
+		}
 	}
 	q.markComplete(key, ok, errMsg)
 	if ok {
@@ -331,7 +342,7 @@ func (q *Queue) Known(key Key) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	_, held := q.jobs[key]
-	return held || q.stored(key)
+	return held || q.store.Has(key)
 }
 
 // PendingJobs snapshots the dispatchable jobs in FIFO order. Used after

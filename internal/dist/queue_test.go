@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -26,7 +28,7 @@ func openTestQueue(t *testing.T, dir string, store *ResultStore, clock *fakeCloc
 func TestQueueLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
-	q := openTestQueue(t, dir, nil, clock)
+	q := openTestQueue(t, dir, openTestStore(t, dir), clock)
 	defer q.Close()
 
 	j1, j2 := testJob(t, 1), testJob(t, 2)
@@ -95,7 +97,7 @@ func TestQueueLifecycle(t *testing.T) {
 func TestQueueLeaseExpiry(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
-	q := openTestQueue(t, dir, nil, clock)
+	q := openTestQueue(t, dir, openTestStore(t, dir), clock)
 	defer q.Close()
 
 	j := testJob(t, 3)
@@ -137,13 +139,14 @@ func TestQueueLeaseExpiry(t *testing.T) {
 }
 
 // TestQueueRecovery pins the dispatcher-crash contract: enqueued jobs
-// and completions survive an abrupt reopen (no Close — the journal's
-// fsyncs alone carry the state), and leases do not (in-flight work
-// requeues).
+// and completions survive an abrupt reopen (no Close — the fsyncs of the
+// journal and the result store carry the state), and leases do not
+// (in-flight work requeues).
 func TestQueueRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
-	q := openTestQueue(t, dir, nil, clock)
+	store := openTestStore(t, dir)
+	q := openTestQueue(t, dir, store, clock)
 
 	j1, j2, j3 := testJob(t, 1), testJob(t, 2), testJob(t, 3)
 	if _, _, err := q.Enqueue([]Job{j1, j2, j3}); err != nil {
@@ -153,6 +156,9 @@ func TestQueueRecovery(t *testing.T) {
 	if !ok {
 		t.Fatal("lease failed")
 	}
+	if err := store.Put(j1.Key(), testResult(1)); err != nil {
+		t.Fatal(err)
+	}
 	if err := q.Complete(leaseID, j1.Key(), true, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestQueueRecovery(t *testing.T) {
 	}
 	// No Close: simulate kill -9 of the dispatcher.
 
-	q2 := openTestQueue(t, dir, nil, clock)
+	q2 := openTestQueue(t, dir, store, clock)
 	defer q2.Close()
 	stats := q2.Stats()
 	if stats.Depth != 2 {
@@ -186,34 +192,110 @@ func TestQueueRecovery(t *testing.T) {
 	}
 }
 
-// TestQueueSelfHealFromStore pins the one unjournaled crash window: the
+// TestQueueSelfHealFromStore pins the unjournaled crash window: the
 // result reached the store but the completion frame didn't hit the
-// journal. Recovery must mark the job done, not re-run it.
+// journal. Recovery must mark the job done, not re-run it — but only
+// for a result that reads back: a pending job whose stored frame
+// verifies but does not decode stays pending.
 func TestQueueSelfHealFromStore(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
-	store, err := OpenResultStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := openTestStore(t, dir)
 	q := openTestQueue(t, dir, store, clock)
 
-	j := testJob(t, 9)
-	if _, _, err := q.Enqueue([]Job{j}); err != nil {
+	j, undecodable := testJob(t, 9), testJob(t, 10)
+	if _, _, err := q.Enqueue([]Job{j, undecodable}); err != nil {
 		t.Fatal(err)
 	}
 	// Crash after the store write, before Complete: only the store knows.
 	if err := store.Put(j.Key(), testResult(9)); err != nil {
 		t.Fatal(err)
 	}
+	appendFrame(t, filepath.Join(dir, storeDirName), undecodable.Key(), []byte(`{"x":1}`))
+	reopened := openTestStore(t, dir)
+	if !reopened.Has(undecodable.Key()) {
+		t.Fatal("the undecodable frame is not indexed")
+	}
 
-	q2 := openTestQueue(t, dir, store, clock)
+	q2 := openTestQueue(t, dir, reopened, clock)
 	defer q2.Close()
 	if done, _ := q2.Status(j.Key()); !done {
 		t.Fatal("store-backed job not self-healed to done")
 	}
+	if done, _ := q2.Status(undecodable.Key()); done {
+		t.Fatal("a job whose stored result does not decode was healed to done")
+	}
+	if _, job, ok := q2.Lease("w", time.Minute); !ok || job.KeyHex != undecodable.KeyHex {
+		t.Fatalf("reopened queue leased %v %q, want only the undecodable job", ok, job.KeyHex)
+	}
 	if _, _, ok := q2.Lease("w", time.Minute); ok {
 		t.Fatal("self-healed job leased out again")
+	}
+	if st := reopened.Stats(); st.Corrupt != 1 || st.Entries != 1 {
+		t.Fatalf("store after the heal: %+v, want the undecodable frame purged", st)
+	}
+}
+
+// TestQueueHealsUnsyncedCompletions: ok completions are not fsynced, so
+// a crash can lose their frames. Cut the journal after the last enqueue
+// frame: the reopened queue completes those jobs from the store, leases
+// none of them again, and counts none of them.
+func TestQueueHealsUnsyncedCompletions(t *testing.T) {
+	dir := t.TempDir()
+	clock := newFakeClock()
+	store := openTestStore(t, dir)
+	q := openTestQueue(t, dir, store, clock)
+	jobs := []Job{testJob(t, 81), testJob(t, 82), testJob(t, 83)}
+	if _, _, err := q.Enqueue(jobs); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(dir, journalName)
+	info, err := os.Stat(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		id, job, ok := q.Lease("w", time.Minute)
+		if !ok {
+			t.Fatalf("lease %d failed", i)
+		}
+		if err := store.Put(job.Key(), testResult(81+i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Complete(id, job.Key(), true, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// kill -9 and a lost page cache: the completion frames never reached
+	// the disk.
+	if err := os.Truncate(journal, info.Size()); err != nil {
+		t.Fatal(err)
+	}
+
+	q2 := openTestQueue(t, dir, store, clock)
+	defer q2.Close()
+	for i, job := range jobs[:2] {
+		if done, errMsg := q2.Status(job.Key()); !done || errMsg != "" {
+			t.Fatalf("job %d with a stored result reads done=%v %q after the crash", i, done, errMsg)
+		}
+	}
+	if _, job, ok := q2.Lease("w", time.Minute); !ok || job.KeyHex != jobs[2].KeyHex {
+		t.Fatalf("reopened queue leased %v %q, want only the unfinished job", ok, job.KeyHex)
+	}
+	if _, _, ok := q2.Lease("w", time.Minute); ok {
+		t.Fatal("a healed job was leased again")
+	}
+	if st := q2.Stats(); st.Completed != 0 || st.Failed != 0 || st.Enqueued != 0 || st.Recovered != 1 {
+		t.Fatalf("after the heal: %+v, want nothing counted but the one recovered job", st)
+	}
+}
+
+// TestOpenQueueNeedsStore: the store is the durable record of every ok
+// completion, so a queue without one is refused.
+func TestOpenQueueNeedsStore(t *testing.T) {
+	if q, err := OpenQueue(t.TempDir(), nil, nil); err == nil {
+		q.Close()
+		t.Fatal("OpenQueue with a nil store succeeded")
 	}
 }
 
@@ -222,7 +304,8 @@ func TestQueueSelfHealFromStore(t *testing.T) {
 func TestQueueCompaction(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
-	q := openTestQueue(t, dir, nil, clock)
+	store := openTestStore(t, dir)
+	q := openTestQueue(t, dir, store, clock)
 
 	var jobs []Job
 	for i := 0; i < compactEvery+8; i++ {
@@ -242,7 +325,7 @@ func TestQueueCompaction(t *testing.T) {
 	}
 	// Past compactEvery completions the journal was truncated; the
 	// remaining pending jobs live in the snapshot.
-	q2 := openTestQueue(t, dir, nil, clock)
+	q2 := openTestQueue(t, dir, store, clock)
 	defer q2.Close()
 	if depth := q2.Stats().Depth; depth != 4 {
 		t.Fatalf("post-compaction recovered depth = %d, want 4", depth)
@@ -338,7 +421,7 @@ func TestQueueReplaysEnqueueAfterComplete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := openTestQueue(t, dir, nil, newFakeClock())
+	q := openTestQueue(t, dir, openTestStore(t, dir), newFakeClock())
 	defer q.Close()
 	if done, _ := q.Status(job.Key()); done {
 		t.Fatal("job re-enqueued after its completion replayed as done")
@@ -404,7 +487,7 @@ func TestQueueDoneMeansStored(t *testing.T) {
 		t.Fatalf("re-enqueue of a stored job: added %d deduped %d (%v), want 0/1", added, deduped, err)
 	}
 	// Purged: the same job is not known and is admitted again.
-	store.drop(j.Key(), store.path(j.Key()))
+	store.purge(j.Key(), store.index[j.Key()])
 	if q.Known(j.Key()) {
 		t.Fatal("a purged, completed job is known")
 	}

@@ -1,32 +1,47 @@
 package dist
 
-// ResultStore is the cluster's second cache tier: one fsynced,
-// checksummed file per result, named by the spec's content address. It
-// outlives processes and machines — any dispatcher pointed at the same
-// directory serves the same warm set, and so does any worker sharing a
-// -cache-dir (DiskTier keeps the same payloads in its own directory).
-// It is the only record of a finished job: what a stored result says is
-// decoded once, by decodeResult, into the entry every reader uses.
+// ResultStore is the cluster's second cache tier: one append-only,
+// checksummed log of results per store directory, each frame filed under
+// the spec's content address and found again through an in-memory index.
+// It outlives processes — a dispatcher restarted on the same -data-dir
+// serves the same warm set, and so does a worker restarted on the same
+// -cache-dir (DiskTier keeps the same payloads in its own directory). A
+// store directory has one owner process at a time, as the queue journal
+// beside it does. The store is the only record of a finished job: what a
+// stored result says is decoded once, by decodeResult, into the entry
+// every reader uses.
 //
-// File format: "FDRS" | u16 version | key[32] | u32 payloadLen |
-// payload | sha256(payload). The embedded key must match the filename,
-// the checksum must match the payload and the payload must decode as a
-// result, or Get treats the file as corrupt: it is deleted, counted, and
-// reported as a miss — the caller recomputes, which is always safe for
+// Log format: frames back to back, each "FDRS" | u16 version | key[32] |
+// u32 payloadLen | payload | sha256(key | payload). The key is stored
+// once, so the checksum covers it: a flipped key bit must not file one
+// spec's result under another. Open streams the log once. It indexes the
+// last verified frame of each key (a key has a later frame only after its
+// earlier one was purged), skips a complete frame whose checksum fails
+// and counts it as corrupt, and ends the log at the first frame whose
+// header is unreadable, claims more than maxFrame, or runs past the end
+// of the file — a torn append that was never acknowledged — truncating
+// it there. A frame cut from the log that way is a miss, recomputed on
+// demand. A read verifies its frame again and decodes the payload as a
+// result; a failure purges the key from the index, counts it, and
+// reports a miss — the caller recomputes, which is always safe for
 // content-addressed pure results.
 //
-// Put is first-write-wins. A second Put for a key whose stored bytes
-// differ is a determinism violation (two workers disagreed about a pure
-// function); the store keeps the original, counts the mismatch, and
-// returns an error so the dispatcher can log the offender.
+// Put is first-write-wins, and nothing sees a result before it is
+// durable: the frame is appended and fsynced before its key is published.
+// A second Put for a key whose stored bytes differ is a determinism
+// violation (two workers disagreed about a pure function); the store
+// keeps the original, counts the mismatch, and returns an error so the
+// dispatcher can log the offender.
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -36,10 +51,15 @@ import (
 )
 
 const (
-	storeDirName  = "results"
-	storeMagic    = "FDRS"
-	storeVersion  = 1
-	storeOverhead = 4 + 2 + sha256.Size + 4 + sha256.Size // header + trailer around the payload
+	storeDirName = "results"
+	storeLogName = "store.log"
+	storeMagic   = "FDRS"
+	// storeVersion 1 was a file per result, with the key in its name and
+	// the checksum over the payload alone; no reader of version 2 opens
+	// those files.
+	storeVersion  = 2
+	frameHeader   = 4 + 2 + sha256.Size + 4 // magic, version, key, payload length
+	storeOverhead = frameHeader + sha256.Size
 )
 
 // ErrResultMismatch reports a Put whose bytes differ from what the store
@@ -56,7 +76,8 @@ type StoreStats struct {
 	// Hits and Misses count Get outcomes over the store's open lifetime.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// Corrupt counts files that failed verification and were removed.
+	// Corrupt counts frames that failed verification, at open or on a
+	// read, and were dropped from the index.
 	Corrupt int64 `json:"corrupt"`
 	// Mismatches counts determinism violations (see ErrResultMismatch).
 	Mismatches int64 `json:"mismatches"`
@@ -93,59 +114,158 @@ func decodeResult(payload []byte) (entry, error) {
 	}}, nil
 }
 
+// frameRef locates one frame in the log: its first byte and its payload
+// length.
+type frameRef struct {
+	off int64
+	n   int
+}
+
 // ResultStore is a disk-backed content-addressed result store. It is
 // safe for concurrent use.
 type ResultStore struct {
-	dir string
+	f *os.File
 
 	mu sync.Mutex
-	// index maps present keys to payload size; mem holds the entry of
-	// each key stored or read since open (the index alone answers Has and
-	// keeps Open cheap for large stores).
-	index map[Key]int64
+	// index maps present keys to their frames; mem holds the entry of
+	// each key stored or read since open (the index alone answers Has
+	// and keeps Open cheap for large stores). bytes sums the payload
+	// lengths the index holds.
+	index map[Key]frameRef
 	mem   map[Key]entry
+	bytes int64
+
+	// appendMu orders appends. end is the log's length (an int64, so a
+	// log past 2 GiB works on 32-bit platforms too); inflight holds, for
+	// each frame appended but not yet durable and published, a channel
+	// closed once it is one or the other.
+	appendMu sync.Mutex
+	end      int64
+	inflight map[Key]chan struct{}
 
 	hits, misses, corrupt, mismatches atomic.Int64
 }
 
 // OpenResultStore opens (creating if needed) the store under dir,
-// scanning existing entries into the index without reading payloads.
+// scanning its log into the index.
 func OpenResultStore(dir string) (*ResultStore, error) {
 	return openStore(filepath.Join(dir, storeDirName))
 }
 
-// openStore opens the store whose entry files live in sdir.
+// openStore opens the store whose log lives in sdir.
 func openStore(sdir string) (*ResultStore, error) {
 	if err := os.MkdirAll(sdir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &ResultStore{dir: sdir, index: make(map[Key]int64), mem: make(map[Key]entry)}
-	entries, err := os.ReadDir(sdir)
+	path := filepath.Join(sdir, storeLogName)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	created := err == nil
+	if errors.Is(err, os.ErrExist) {
+		f, err = os.OpenFile(path, os.O_RDWR, 0)
+	}
 	if err != nil {
 		return nil, err
 	}
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		key, err := ParseKey(ent.Name())
-		if err != nil {
-			continue // temp files and strays are not entries
-		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		if info.Size() < storeOverhead {
-			// Too short to be a valid entry; treat like any corrupt file.
-			os.Remove(filepath.Join(sdir, ent.Name()))
-			s.corrupt.Add(1)
-			continue
-		}
-		s.index[key] = info.Size() - storeOverhead
+	if created {
+		// The one directory fsync the store makes: the log's name is
+		// durable before any frame in it is acknowledged.
+		err = syncDir(sdir)
+	}
+	s := &ResultStore{f: f, index: make(map[Key]frameRef), mem: make(map[Key]entry),
+		inflight: make(map[Key]chan struct{})}
+	if err == nil {
+		err = s.scan()
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("dist: open result log %s: %w", path, err)
 	}
 	return s, nil
 }
+
+// scan streams the log once, indexing every verified frame, and
+// truncates it after the last complete one. Nothing is allocated by a
+// frame's length: the payload streams through the checksum. It runs
+// before the store is shared, so it indexes without taking s.mu.
+func (s *ResultStore) scan() error {
+	info, err := s.f.Stat()
+	if err != nil {
+		return err
+	}
+	var (
+		br   = bufio.NewReaderSize(s.f, 64<<10)
+		buf  = make([]byte, 32<<10)
+		h    = sha256.New()
+		hdr  [frameHeader]byte
+		want [sha256.Size]byte
+		got  [sha256.Size]byte
+		off  int64
+	)
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			if !isEOF(err) {
+				return err
+			}
+			break // the end of the log, or a torn header
+		}
+		key, n, ok := parseHeader(hdr[:])
+		if !ok {
+			break
+		}
+		h.Reset()
+		h.Write(key[:])
+		copied, err := io.CopyBuffer(h, io.LimitReader(br, int64(n)), buf)
+		if err != nil {
+			return err
+		}
+		if copied < int64(n) {
+			break // a torn payload
+		}
+		if _, err := io.ReadFull(br, want[:]); err != nil {
+			if !isEOF(err) {
+				return err
+			}
+			break // a torn checksum
+		}
+		ref := frameRef{off: off, n: n}
+		off += int64(storeOverhead + n)
+		if !bytes.Equal(h.Sum(got[:0]), want[:]) {
+			s.corrupt.Add(1)
+			continue
+		}
+		s.indexLocked(key, ref)
+	}
+	s.end = off
+	if off == info.Size() {
+		return nil
+	}
+	if err := s.f.Truncate(off); err != nil {
+		return err
+	}
+	return s.f.Sync()
+}
+
+func isEOF(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
+// parseHeader reads a frame header; ok is false for a header no writer
+// of this version produces.
+func parseHeader(hdr []byte) (key Key, n int, ok bool) {
+	if string(hdr[:4]) != storeMagic || binary.BigEndian.Uint16(hdr[4:6]) != storeVersion {
+		return key, 0, false
+	}
+	copy(key[:], hdr[6:])
+	size := binary.BigEndian.Uint32(hdr[6+len(key):])
+	if size > maxFrame {
+		return key, 0, false
+	}
+	return key, int(size), true
+}
+
+// Close releases the log. Every acknowledged Put is already durable; the
+// store must not be used after.
+func (s *ResultStore) Close() error { return s.f.Close() }
 
 // Len returns the number of keys present.
 func (s *ResultStore) Len() int {
@@ -166,11 +286,7 @@ func (s *ResultStore) Has(key Key) bool {
 // Stats returns a snapshot of the store's counters.
 func (s *ResultStore) Stats() StoreStats {
 	s.mu.Lock()
-	entries := len(s.index)
-	var bytes int64
-	for _, n := range s.index {
-		bytes += n
-	}
+	entries, bytes := len(s.index), s.bytes
 	s.mu.Unlock()
 	return StoreStats{
 		Entries: entries, Bytes: bytes,
@@ -180,7 +296,7 @@ func (s *ResultStore) Stats() StoreStats {
 }
 
 // Get returns the stored payload for key. Every disk read is verified;
-// a file that fails verification is deleted and reported as a miss.
+// a frame that fails verification is purged and reported as a miss.
 // The returned slice is shared — callers must not mutate it.
 func (s *ResultStore) Get(key Key) ([]byte, bool) {
 	e, ok := s.get(key)
@@ -206,26 +322,40 @@ func (s *ResultStore) read(key Key) (entry, bool) {
 		s.mu.Unlock()
 		return e, true
 	}
-	_, present := s.index[key]
+	ref, present := s.index[key]
 	s.mu.Unlock()
 	if !present {
 		return entry{}, false
 	}
 
-	path := s.path(key)
-	raw, err := os.ReadFile(path)
-	var e entry
-	if err == nil {
-		e, err = decodeEntry(key, raw)
-	}
+	e, err := s.readFrame(key, ref)
 	if err != nil {
-		s.drop(key, path)
+		s.purge(key, ref)
 		return entry{}, false
 	}
 	s.mu.Lock()
-	s.mem[key] = e
+	if s.index[key] == ref {
+		s.mem[key] = e
+	}
 	s.mu.Unlock()
 	return e, true
+}
+
+// readFrame reads key's frame at ref, verifies it and decodes its
+// payload.
+func (s *ResultStore) readFrame(key Key, ref frameRef) (entry, error) {
+	raw := make([]byte, storeOverhead+ref.n)
+	if _, err := s.f.ReadAt(raw, ref.off); err != nil {
+		return entry{}, err
+	}
+	if k, n, ok := parseHeader(raw); !ok || k != key || n != ref.n {
+		return entry{}, errors.New("frame header does not match the index")
+	}
+	payload := raw[frameHeader : frameHeader+ref.n]
+	if sum := frameSum(key, payload); !bytes.Equal(sum[:], raw[frameHeader+ref.n:]) {
+		return entry{}, errors.New("frame checksum mismatch")
+	}
+	return decodeResult(payload)
 }
 
 // served counts results answered from what read returned as hits, and
@@ -241,7 +371,9 @@ func (s *ResultStore) served(hits, misses int) {
 // ErrResultMismatch and keeps the original. Its first-write check is no
 // lookup: it counts as neither a hit nor a miss. A stored payload is
 // kept, not copied, as the in-memory copy that Get shares: the store
-// takes it over, and the caller must not modify it afterwards.
+// takes it over, and the caller must not modify it afterwards. Put
+// returns once the result is durable, and only then can any reader see
+// it.
 func (s *ResultStore) Put(key Key, payload []byte) error {
 	e, err := decodeResult(payload)
 	if err != nil {
@@ -250,77 +382,111 @@ func (s *ResultStore) Put(key Key, payload []byte) error {
 	return s.put(key, e)
 }
 
-// put is Put for an entry already decoded.
+// put is Put for an entry already decoded. Under appendMu it checks the
+// published keys and the frames in flight, then appends at the log's
+// end; it syncs outside the lock and publishes after the sync. A Put of
+// a key whose frame is in flight waits for that frame, then checks
+// again.
 func (s *ResultStore) put(key Key, e entry) error {
-	if existing, ok := s.read(key); ok {
+	if len(e.payload) > maxFrame {
+		// An open would end the log at such a frame.
+		return fmt.Errorf("%w: result of %d bytes exceeds %d", ErrWire, len(e.payload), maxFrame)
+	}
+	s.appendMu.Lock()
+	for {
+		if done, ok := s.inflight[key]; ok {
+			s.appendMu.Unlock()
+			<-done
+			s.appendMu.Lock()
+			continue
+		}
+		existing, ok := s.read(key)
+		if !ok {
+			break
+		}
+		s.appendMu.Unlock()
 		if bytes.Equal(existing.payload, e.payload) {
 			return nil
 		}
 		s.mismatches.Add(1)
 		return fmt.Errorf("%w: key %s", ErrResultMismatch, hex.EncodeToString(key[:]))
 	}
-	if err := writeFileAtomic(s.path(key), encodeEntry(key, e.payload)); err != nil {
+	ref := frameRef{off: s.end, n: len(e.payload)}
+	if _, err := s.f.WriteAt(encodeFrame(key, e.payload), ref.off); err != nil {
+		// A partial frame must not sit in front of the next one. Should
+		// the truncate fail too, the next append overwrites it, and an
+		// open ends the log there.
+		_ = s.f.Truncate(ref.off)
+		s.appendMu.Unlock()
 		return err
 	}
+	s.end += int64(storeOverhead + ref.n)
+	done := make(chan struct{})
+	s.inflight[key] = done
+	s.appendMu.Unlock()
+
+	err := s.f.Sync()
+	if err == nil {
+		s.mu.Lock()
+		s.indexLocked(key, ref)
+		s.mem[key] = e
+		s.mu.Unlock()
+	}
+	// A frame whose sync failed stays unpublished. Its bytes are a
+	// verified result all the same, so a later open may index it.
+	s.appendMu.Lock()
+	delete(s.inflight, key)
+	s.appendMu.Unlock()
+	close(done)
+	return err
+}
+
+// indexLocked points key at ref and keeps the byte total; s.mu must be
+// held.
+func (s *ResultStore) indexLocked(key Key, ref frameRef) {
+	if old, ok := s.index[key]; ok {
+		s.bytes -= int64(old.n)
+	}
+	s.index[key] = ref
+	s.bytes += int64(ref.n)
+}
+
+// purge drops a key whose frame at ref failed verification, and counts
+// it, unless the index no longer points there (a concurrent read purged
+// it first).
+func (s *ResultStore) purge(key Key, ref frameRef) {
 	s.mu.Lock()
-	s.index[key] = int64(len(e.payload))
-	s.mem[key] = e
+	cur, ok := s.index[key]
+	ok = ok && cur == ref
+	if ok {
+		delete(s.index, key)
+		delete(s.mem, key)
+		s.bytes -= int64(ref.n)
+	}
 	s.mu.Unlock()
-	return nil
+	if ok {
+		s.corrupt.Add(1)
+	}
 }
 
-// drop removes a failed entry from disk and index.
-func (s *ResultStore) drop(key Key, path string) {
-	os.Remove(path)
-	s.mu.Lock()
-	delete(s.index, key)
-	delete(s.mem, key)
-	s.mu.Unlock()
-	s.corrupt.Add(1)
+// frameSum is a frame's checksum: SHA-256 over its key and payload.
+func frameSum(key Key, payload []byte) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write(key[:])
+	h.Write(payload)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
-func (s *ResultStore) path(key Key) string {
-	return filepath.Join(s.dir, hex.EncodeToString(key[:]))
-}
-
-// encodeEntry frames payload as key's entry file.
-func encodeEntry(key Key, payload []byte) []byte {
+// encodeFrame frames payload as key's log frame.
+func encodeFrame(key Key, payload []byte) []byte {
 	buf := make([]byte, 0, storeOverhead+len(payload))
 	buf = append(buf, storeMagic...)
 	buf = binary.BigEndian.AppendUint16(buf, storeVersion)
 	buf = append(buf, key[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
-	sum := sha256.Sum256(payload)
+	sum := frameSum(key, payload)
 	return append(buf, sum[:]...)
-}
-
-// decodeEntry verifies one entry file against its expected key and
-// decodes its payload.
-func decodeEntry(key Key, raw []byte) (entry, error) {
-	if len(raw) < storeOverhead {
-		return entry{}, fmt.Errorf("entry of %d bytes", len(raw))
-	}
-	if string(raw[:4]) != storeMagic {
-		return entry{}, fmt.Errorf("bad magic %q", raw[:4])
-	}
-	if v := binary.BigEndian.Uint16(raw[4:6]); v != storeVersion {
-		return entry{}, fmt.Errorf("unsupported version %d", v)
-	}
-	raw = raw[6:]
-	if !bytes.Equal(raw[:sha256.Size], key[:]) {
-		return entry{}, errors.New("embedded key does not match filename")
-	}
-	raw = raw[sha256.Size:]
-	n := binary.BigEndian.Uint32(raw[:4])
-	raw = raw[4:]
-	if int(n) != len(raw)-sha256.Size {
-		return entry{}, fmt.Errorf("payload length %d does not match file size", n)
-	}
-	payload := raw[:n]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], raw[n:]) {
-		return entry{}, errors.New("payload checksum mismatch")
-	}
-	return decodeResult(payload)
 }

@@ -9,13 +9,10 @@ package dist
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -24,22 +21,6 @@ import (
 
 	"flagsim/internal/wire"
 )
-
-// corruptResult flips one payload byte of key's results/<hex> file, as a
-// bad disk block would. The file keeps its framing, so only the checksum
-// check on the next verified read catches it.
-func corruptResult(t *testing.T, dir string, key Key) {
-	t.Helper()
-	path := filepath.Join(dir, storeDirName, hex.EncodeToString(key[:]))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-sha256.Size-3] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // trySweep posts one sweep and decodes the reply without touching t, so
 // test goroutines can call it.
@@ -177,7 +158,7 @@ func TestWarmSweepsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestUndecodableStoredResult: a framed, checksummed result file whose
+// TestUndecodableStoredResult: a framed, checksummed result frame whose
 // payload is not a wire.SimResult is corrupt, like one with a bad
 // checksum. /v1/sweep and /v1/run each purge it, count it in Corrupt
 // and recompute the single-process bytes; the next request is warm.
@@ -198,7 +179,7 @@ func TestUndecodableStoredResult(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			writeEntry(t, filepath.Join(dir, storeDirName), spec.Key(), []byte(payload))
+			appendFrame(t, filepath.Join(dir, storeDirName), spec.Key(), []byte(payload))
 			f := startFleet(t, dir)
 			stopWorkers := startWorkers(t, f, 1, nil)
 			for pass := 0; pass < 2; pass++ {
@@ -346,7 +327,7 @@ func TestTierHitsCountWarmRows(t *testing.T) {
 }
 
 // TestPurgedResultRecomputedByRun: after a restart, a completed job's
-// result file is damaged. Verify-on-read purges it; /v1/run must then
+// result frame is damaged. Verify-on-read purges it; /v1/run must then
 // recompute the job and answer the single-process bytes, not fail.
 func TestPurgedResultRecomputedByRun(t *testing.T) {
 	dir := t.TempDir()
@@ -376,7 +357,7 @@ func TestPurgedResultRecomputedByRun(t *testing.T) {
 	stopWorkers = startWorkers(t, f, 1, nil)
 	defer f.stop(t)
 	defer stopWorkers()
-	corruptResult(t, dir, spec.Key())
+	corruptFrame(t, filepath.Join(dir, storeDirName), spec.Key(), payloadByte)
 	for pass := 0; pass < 2; pass++ {
 		out, code, body := postRun(t, f.srv.URL, req)
 		if code != http.StatusOK {
@@ -414,7 +395,7 @@ func TestPurgedResultRecomputedBySweep(t *testing.T) {
 	defer f.stop(t)
 	defer stopWorkers()
 	purged := 2
-	corruptResult(t, dir, jobs[purged].Key())
+	corruptFrame(t, filepath.Join(dir, storeDirName), jobs[purged].Key(), payloadByte)
 	first := postSweep(t, f.srv.URL, sreq)
 	if first.Failed != 0 || first.Computed != 1 || first.Warm != len(jobs)-1 {
 		t.Fatalf("first sweep after purge: %+v", first)

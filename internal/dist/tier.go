@@ -3,8 +3,8 @@ package dist
 // DiskTier plugs a ResultStore in behind a sweep.Sweeper's in-memory
 // memo (sweep.Options.Tier): memo miss → verified disk read → compute
 // with write-through. It is how a worker's -cache-dir survives process
-// restarts, and how any number of processes sharing a directory share
-// one warm set.
+// restarts: one process at a time owns the directory, and each one
+// started on it after another shares the warm set it left.
 
 import (
 	"encoding/hex"
@@ -14,17 +14,19 @@ import (
 	"flagsim/internal/sweep"
 )
 
-// tierDirName is the tier's directory under -cache-dir. It stores the
-// canonical wire bytes the dispatcher's store holds, but under its own
-// name: a -cache-dir written before keeps its entries, in the retired
-// result codec, under "results", where the tier never reads them, so an
-// old entry is a miss and never a first-write-wins mismatch.
+// tierDirName is the tier's directory under -cache-dir. It keeps the
+// canonical wire bytes the dispatcher's store holds, in the same log
+// format, but under its own name: a -cache-dir written before keeps its entries, in
+// the retired result codec, under "results", where the tier never reads
+// them. Nor does it read the file-per-result entries an older tier left
+// under "records": every such entry is a miss, and never a
+// first-write-wins mismatch.
 const tierDirName = "records"
 
 // DiskTier adapts a ResultStore to the sweep.Tier interface. It stores
 // each record's canonical bytes (wire.MarshalResult's) with its summary,
 // and reads a stored entry back as a record, with no decode per read. A
-// file that fails the store's verification is a miss (the pool
+// frame that fails the store's verification is a miss (the pool
 // recomputes) and an encode failure skips the write-through — a broken
 // disk tier can cost time, never correctness.
 type DiskTier struct {

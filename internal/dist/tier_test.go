@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -131,17 +133,50 @@ func TestTierRecordRejects(t *testing.T) {
 	}
 }
 
-// TestTierIgnoresOldCodecEntries: a -cache-dir written by the retired
-// result codec ("encResult" v1, under results/) reads as a tier miss.
-// The recompute is stored in the tier's own namespace, the old entry is
-// left alone, and no first-write-wins mismatch is counted.
+// writeV1Entry writes payload as key's version-1 store entry: the file
+// per result, named by the key's hex, that stores kept before the result
+// log — "FDRS" | u16 1 | key[32] | u32 payloadLen | payload |
+// sha256(payload).
+func writeV1Entry(t *testing.T, sdir string, key Key, payload []byte) string {
+	t.Helper()
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	raw := append([]byte("FDRS\x00\x01"), key[:]...)
+	raw = binary.BigEndian.AppendUint32(raw, uint32(len(payload)))
+	raw = append(raw, payload...)
+	sum := sha256.Sum256(payload)
+	path := filepath.Join(sdir, hex.EncodeToString(key[:]))
+	if err := os.WriteFile(path, append(raw, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestTierIgnoresOldCodecEntries: a -cache-dir written by an older
+// worker reads as a tier miss — an entry in the retired result codec
+// ("encResult" v1, under results/), and a version-1 entry file of the
+// current bytes under records/. The recompute is stored in the tier's
+// log, the old files are left alone, and no first-write-wins mismatch
+// and no corrupt entry is counted.
 func TestTierIgnoresOldCodecEntries(t *testing.T) {
 	dir := t.TempDir()
 	spec := sweep.Spec{Flag: "mauritius", Scenario: 2, Seed: 11}
 	key := spec.Key()
+	fresh, err := spec.RunOnce(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, err := wire.MarshalResult(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
 	oldPayload := []byte(`{"v":1,"plan":{"FlagName":"mauritius","W":12,"H":8,"Strategy":"layer-blocks"},` +
 		`"makespan_ns":1,"setup_ns":0,"events":2,"faults":{},"grid_w":1,"grid_h":1,"grid_cells":"AQ==","grid_paints":1}`)
-	writeEntry(t, filepath.Join(dir, storeDirName), key, oldPayload)
+	oldFiles := map[string][]byte{
+		writeV1Entry(t, filepath.Join(dir, storeDirName), key, oldPayload): oldPayload,
+		writeV1Entry(t, filepath.Join(dir, tierDirName), key, current):     current,
+	}
 
 	tier, err := OpenDiskTier(dir)
 	if err != nil {
@@ -152,7 +187,7 @@ func TestTierIgnoresOldCodecEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if batch.Cache.TierHits != 0 || batch.Cache.TierMisses != 1 || batch.Cache.Misses != 1 {
-		t.Fatalf("old entry: %+v, want one tier miss and one compute", batch.Cache)
+		t.Fatalf("old entries: %+v, want one tier miss and one compute", batch.Cache)
 	}
 	want, err := batch.Runs[0].Record.Bytes()
 	if err != nil {
@@ -164,13 +199,14 @@ func TestTierIgnoresOldCodecEntries(t *testing.T) {
 	if st := tier.Store().Stats(); st.Mismatches != 0 || st.Corrupt != 0 {
 		t.Fatalf("tier store stats %+v, want no mismatch and no corrupt entry", st)
 	}
-	kept, err := os.ReadFile(filepath.Join(dir, storeDirName, fmt.Sprintf("%x", key[:])))
-	if err != nil || !bytes.Contains(kept, oldPayload) {
-		t.Fatalf("the old entry was disturbed: %v", err)
+	for path, payload := range oldFiles {
+		if kept, err := os.ReadFile(path); err != nil || !bytes.Contains(kept, payload) {
+			t.Fatalf("the old entry %s was disturbed: %v", path, err)
+		}
 	}
 }
 
-// TestTierPurgesUndecodableEntries: a framed, checksummed entry in a
+// TestTierPurgesUndecodableEntries: a framed, checksummed frame in a
 // worker's tier whose payload is not a result is purged, counted as
 // corrupt (not as a hit or a determinism mismatch) and recomputed; the
 // next start serves the recomputed record from disk.
@@ -178,7 +214,7 @@ func TestTierPurgesUndecodableEntries(t *testing.T) {
 	for i, payload := range []string{`not json`, `{"x":1}`} {
 		dir := t.TempDir()
 		spec := sweep.Spec{Flag: "mauritius", Scenario: 2, Seed: uint64(40 + i)}
-		writeEntry(t, filepath.Join(dir, tierDirName), spec.Key(), []byte(payload))
+		appendFrame(t, filepath.Join(dir, tierDirName), spec.Key(), []byte(payload))
 		fresh, err := spec.RunOnce(nil)
 		if err != nil {
 			t.Fatal(err)

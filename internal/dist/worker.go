@@ -37,8 +37,7 @@ type WorkerConfig struct {
 	PollInterval time.Duration
 	// Tier, when non-nil, is the worker's local disk cache
 	// (sweep.Options.Tier, e.g. a DiskTier): records survive worker
-	// restarts and are shared by co-located workers pointing at the same
-	// directory.
+	// restarts. A DiskTier's directory has one owner process at a time.
 	Tier sweep.Tier
 	// Logger receives the worker's structured log; nil discards.
 	Logger *slog.Logger

@@ -1,7 +1,7 @@
 package sweep
 
 // Content-address pins. Spec.Key names journal frames, snapshots and
-// results/<hex> files on disk, and the dispatcher re-derives it when it
+// result-log frames on disk, and the dispatcher re-derives it when it
 // decodes a journaled job, so one changed byte would make every existing
 // data directory refuse its journal. refKey and refLabel keep the
 // fmt-built encoding as the reference; the golden literals were recorded

@@ -132,7 +132,7 @@ func (s Spec) Label() string {
 func (s Spec) Key() [sha256.Size]byte {
 	// The encoding is appended into a stack buffer, so a builtin or
 	// generated spec's key costs no allocation. Every byte is persisted
-	// (journal frames, snapshots, results/<hex> files): the golden test
+	// (journal frames, snapshots, result-log frames): the golden test
 	// in key_test.go pins it against the original fmt-built encoding.
 	var buf [256]byte
 	b := strconv.AppendUint(append(buf[:0], "sweep-v1|exec="...), uint64(s.Exec), 10)
