@@ -474,8 +474,9 @@ const (
 // runtime.GOMAXPROCS), event probes installed on every compute, an
 // Observer handed every computed Result (an EngineMetricsProbe, say),
 // and record mode (an encoder; the memo then keeps each run's summary
-// and canonical bytes, not its Result) with an optional second cache
-// tier behind it.
+// and canonical bytes, not its Result, and computes run on arenas the
+// pool reuses, so the Observer must not keep a Result) with an optional
+// second cache tier behind it.
 type SweepOptions = sweep.Options
 
 // SweepResult is a completed batch: per-run outcomes in input order plus
@@ -483,7 +484,8 @@ type SweepOptions = sweep.Options
 type SweepResult = sweep.Result
 
 // SweepRun is one run's outcome inside a SweepResult: result or error,
-// compute time, and whether it was served from the cache.
+// compute time, and whether it was served from the cache. In record
+// mode it carries the run's record and no Result.
 type SweepRun = sweep.RunResult
 
 // SweepGrid enumerates a cartesian parameter grid (workers × implement

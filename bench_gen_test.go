@@ -54,6 +54,7 @@ func genBenchSpecs() []flagsim.SweepSpec {
 // each iteration: every flag is resolved, rasterized, and simulated.
 func BenchmarkSweepGeneratedCold(b *testing.B) {
 	specs := genBenchSpecs()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := flagsim.RunSweep(specs, flagsim.SweepOptions{Workers: 8})
@@ -80,6 +81,7 @@ func BenchmarkSweepGeneratedExecs(b *testing.B) {
 		Execs: []flagsim.SweepExec{flagsim.SweepStatic, flagsim.SweepSteal, flagsim.SweepDynamic},
 		Flags: flags,
 	}.Specs()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := flagsim.RunSweep(specs, flagsim.SweepOptions{Workers: 8})
@@ -109,4 +111,5 @@ func BenchmarkSweepGeneratedWarm(b *testing.B) {
 			b.Fatalf("warm cache hits = %d, want %d", res.Cache.Hits, len(specs))
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)), "ns/run")
 }

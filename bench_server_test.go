@@ -96,7 +96,8 @@ func (d *discardResponse) Header() http.Header         { return d.header }
 func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardResponse) WriteHeader(int)             {}
 
-// BenchmarkServerSweepWarm times a fully warm 8-run /v1/sweep grid.
+// BenchmarkServerSweepWarm times a fully warm 8-run /v1/sweep grid,
+// reported per run.
 func BenchmarkServerSweepWarm(b *testing.B) {
 	ts := benchServer(b)
 	body := `{"base": {"flag": "mauritius", "scenario": 4}, "execs": ["static", "steal"], "seeds": [1, 2, 3, 4]}`
@@ -105,6 +106,7 @@ func BenchmarkServerSweepWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchPost(b, ts.URL+"/v1/sweep", body)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*8), "ns/run")
 }
 
 // BenchmarkServerSweepCold times generated-cold's request shape: one op
@@ -138,6 +140,7 @@ func BenchmarkServerSweepCold(b *testing.B) {
 	if out.Count != 24 || out.Misses != 24 || out.Failed != 0 {
 		b.Fatalf("cold sweep: %d runs, %d misses, %d failed; want 24 computed", out.Count, out.Misses, out.Failed)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchPost(b, ts.URL+"/v1/sweep", body(i+1))

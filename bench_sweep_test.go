@@ -47,6 +47,7 @@ func benchSweep(b *testing.B, workers int) {
 		wall = res.Wall
 	}
 	b.ReportMetric(wall.Seconds()*1000, "wall-ms")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)), "ns/run")
 }
 
 func BenchmarkSweepSerial(b *testing.B)   { benchSweep(b, 1) }
@@ -70,6 +71,7 @@ func BenchmarkSweepWarm(b *testing.B) {
 			b.Fatalf("warm cache hits = %d, want %d", res.Cache.Hits, len(specs))
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)), "ns/run")
 }
 
 // keySink keeps the content-key and grid-digest benchmarks' digests live.

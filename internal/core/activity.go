@@ -147,6 +147,10 @@ type RunSpec struct {
 	// size; the run plans and verifies from it instead of rasterizing
 	// the flag. A geometry of another flag or size is an error.
 	Geometry *workplan.Geometry
+	// Arena, when non-nil, runs through the caller's arena (see
+	// sim.Config.Arena): the Result aliases arena memory, valid only
+	// until the arena's next run. nil returns an independent Result.
+	Arena *sim.Arena
 }
 
 // simConfig translates a RunSpec into the simulator's plan-driven config,
@@ -191,6 +195,7 @@ func simConfig(spec RunSpec) (sim.Config, *workplan.Geometry, error) {
 		Trace:  spec.Trace,
 		Probes: spec.Probes,
 		Faults: spec.Faults,
+		Arena:  spec.Arena,
 	}, geo, nil
 }
 

@@ -32,10 +32,11 @@ type region struct {
 // this row of the stripe" units students actually divide work into.
 func regionsOf(g *workplan.Geometry) []region {
 	var out []region
-	for li, cells := range g.LayerCells() {
+	for li, tasks := range g.LayerTasks() {
 		byRow := make(map[int][]geom.Pt)
 		var rows []int
-		for _, c := range cells {
+		for _, t := range tasks {
+			c := t.Cell
 			if _, ok := byRow[c.Y]; !ok {
 				rows = append(rows, c.Y)
 			}
@@ -173,12 +174,9 @@ func Guided(f *flagspec.Flag, w, h, p int) (*workplan.Plan, error) {
 
 // taskStream flattens the flag into layer-then-reading-order tasks.
 func taskStream(g *workplan.Geometry) []workplan.Task {
-	f := g.Flag()
 	var out []workplan.Task
-	for li, cells := range g.LayerCells() {
-		for _, c := range cells {
-			out = append(out, workplan.Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
-		}
+	for _, tasks := range g.LayerTasks() {
+		out = append(out, tasks...)
 	}
 	return out
 }

@@ -14,19 +14,27 @@ package sim
 //
 // Two ownership modes:
 //
-//   - Owned (NewArena): the caller holds the arena and runs through it
-//     via Config.Arena / DynamicConfig.Arena. The returned Result — its
-//     stats slices, trace, synthesized plan, and Grid — is arena memory,
-//     valid only until the arena's next run. Maximum reuse, caller takes
-//     the aliasing contract. An owned arena is not safe for concurrent
-//     use; give each goroutine its own.
+//   - Owned (NewArena, or BorrowArena): the caller holds the arena and
+//     runs through it via Config.Arena / DynamicConfig.Arena. The
+//     returned Result — its stats slices, trace, synthesized plan, and
+//     Grid — is arena memory, valid only until the arena's next run.
+//     Maximum reuse, caller takes the aliasing contract. An owned arena
+//     is not safe for concurrent use; give each goroutine its own.
 //
 //   - Pooled (no Arena configured): runs draw a shared arena from a
 //     sync.Pool. Engine-internal scratch is recycled, but everything the
 //     Result can see (the Result itself, stats slices, trace, grid,
 //     synthesized plans) is allocated fresh, because callers — the
-//     Sweeper memoizes *sim.Result indefinitely — may hold the Result
-//     long after the arena has moved on to another run.
+//     library-mode Sweeper memoizes *sim.Result indefinitely — may hold
+//     the Result long after the arena has moved on to another run.
+//
+// BorrowArena joins the two: it takes an arena out of the same pool in
+// owned mode, and ReturnArena puts it back in pooled mode. A record-mode
+// Sweeper's crew member borrows one at its first compute, runs every
+// compute of its batch through it (its record copies what it keeps
+// before the next one), and returns it when it leaves the batch, so a
+// cold compute allocates no grid, stats or assignment plan of its own,
+// and the next borrower starts from buffers already grown.
 //
 // Sizing is deterministic: every buffer's required capacity is a
 // function of run-invariant quantities (processor count, implement
@@ -37,11 +45,12 @@ package sim
 // differ run to run.
 //
 // The arena also memoizes pointer-keyed validation: re-running the same
-// *workplan.Plan / *implement.Set / *flagspec.Flag through one arena
-// skips the O(tasks) validation walk and the strategy-string formatting.
-// Holding the cached pointer in the arena pins the object, so pointer
-// equality is a sound cache key for these immutable-by-convention
-// inputs.
+// *workplan.Plan or *flagspec.Flag through one arena skips the O(tasks)
+// validation walk, the colour scan and the strategy-string formatting;
+// only the implement set, which callers build per run, is checked
+// against the cached colours every run. Holding the cached pointer in
+// the arena pins the object, so pointer equality is a sound cache key
+// for these immutable-by-convention inputs.
 
 import (
 	"fmt"
@@ -50,7 +59,6 @@ import (
 
 	"flagsim/internal/flagspec"
 	"flagsim/internal/grid"
-	"flagsim/internal/implement"
 	"flagsim/internal/palette"
 	"flagsim/internal/workplan"
 )
@@ -87,11 +95,13 @@ type Arena struct {
 	perProcBuf   [][]workplan.Task
 	taskBuf      []workplan.Task
 
-	// Pointer-keyed validation and formatting caches.
+	// Pointer-keyed validation and formatting caches. vNeed[:vNeedN]
+	// is vPlan's colour set, in palette.All order.
 	vPlan           *workplan.Plan
-	vSet            *implement.Set
+	vNeed           [palette.NColors]palette.Color
+	vNeedN          int
 	vDynFlag        *flagspec.Flag
-	vDynSet         *implement.Set
+	vDynColors      []palette.Color
 	seqFlag         *flagspec.Flag
 	seqW, seqH      int
 	seqPlan         *workplan.Plan
@@ -121,6 +131,28 @@ var arenaPool = sync.Pool{New: func() any {
 	a.e.kernel.SetHandler(a.e.dispatch)
 	return a
 }}
+
+// BorrowArena takes an arena from the pool that runs without an Arena
+// draw from, and hands it over in owned mode: configure it on
+// Config.Arena or DynamicConfig.Arena like one from NewArena, and every
+// Result of a run through it aliases arena memory, valid only until its
+// next run. Give it back with ReturnArena once no Result of it is held.
+// A borrowed arena keeps the buffers earlier borrowers grew, so a
+// borrower's first run reuses them instead of allocating its own.
+func BorrowArena() *Arena {
+	a := arenaPool.Get().(*Arena)
+	a.owned = true
+	return a
+}
+
+// ReturnArena gives a borrowed arena back to the pool. It goes back in
+// pooled mode, whose runs allocate every Result-visible buffer afresh,
+// so nothing a later pooled run returns aliases it; the caller must
+// hold no Result of its own runs through it.
+func ReturnArena(a *Arena) {
+	a.owned = false
+	arenaPool.Put(a)
+}
 
 // acquireArena resolves the run's arena: the caller's own, or one from
 // the pool. pooled tells the caller to return it when the run is done.
@@ -309,18 +341,32 @@ func (a *Arena) buildResult(e *Engine, plan *workplan.Plan, makespan time.Durati
 
 // validateStatic rejects inconsistent static configurations up front so
 // the event loop never deadlocks on impossible inputs. The O(tasks)
-// walks (plan validation, color coverage) are memoized on the
-// (plan, set) pointer pair — the arena pins both, so pointer equality
-// implies the same already-validated inputs.
+// walks (plan validation, the plan's colour set) are memoized on the
+// plan pointer, which the arena pins, so pointer equality implies the
+// same already-validated plan; the set's coverage of those colours is
+// checked on every run, because callers build a fresh set per run.
 func (a *Arena) validateStatic(cfg *Config) error {
 	if cfg.Plan == nil {
 		return fmt.Errorf("sim: nil plan")
 	}
-	cached := a.vPlan == cfg.Plan && a.vSet == cfg.Set
-	if !cached {
+	if a.vPlan != cfg.Plan {
 		if err := cfg.Plan.Validate(); err != nil {
 			return err
 		}
+		var need [palette.NColors]bool
+		for _, tasks := range cfg.Plan.PerProc {
+			for _, t := range tasks {
+				need[t.Color] = true
+			}
+		}
+		a.vNeedN = 0
+		for _, c := range palette.All() {
+			if need[c] {
+				a.vNeed[a.vNeedN] = c
+				a.vNeedN++
+			}
+		}
+		a.vPlan = cfg.Plan
 	}
 	if len(cfg.Procs) != cfg.Plan.NumProcs() {
 		return fmt.Errorf("sim: plan wants %d processors, got %d", cfg.Plan.NumProcs(), len(cfg.Procs))
@@ -328,19 +374,8 @@ func (a *Arena) validateStatic(cfg *Config) error {
 	if cfg.Set == nil {
 		return fmt.Errorf("sim: nil implement set")
 	}
-	if !cached {
-		var need [palette.NColors]bool
-		for _, tasks := range cfg.Plan.PerProc {
-			for _, t := range tasks {
-				need[t.Color] = true
-			}
-		}
-		for _, c := range palette.All() {
-			if need[c] && !cfg.Set.Has(c) {
-				return fmt.Errorf("implement: set has no %s implement", c)
-			}
-		}
-		a.vPlan, a.vSet = cfg.Plan, cfg.Set
+	if err := cfg.Set.Covers(a.vNeed[:a.vNeedN]); err != nil {
+		return err
 	}
 	if cfg.Setup < 0 {
 		return fmt.Errorf("sim: negative setup time")

@@ -380,13 +380,14 @@ func RunDynamicCtx(ctx context.Context, cfg DynamicConfig) (*Result, error) {
 	if cfg.Set == nil {
 		return nil, fmt.Errorf("sim: nil implement set")
 	}
-	// Coverage is memoized on the (flag, set) pointer pair; the arena
-	// pins both, so pointer equality implies already-checked inputs.
-	if a.vDynFlag != cfg.Flag || a.vDynSet != cfg.Set {
-		if err := cfg.Set.Covers(cfg.Flag.Colors()); err != nil {
-			return nil, err
-		}
-		a.vDynFlag, a.vDynSet = cfg.Flag, cfg.Set
+	// The flag's colours are memoized on the flag pointer, which the
+	// arena pins; the set, fresh per run for most callers, is checked
+	// against them on every run.
+	if a.vDynFlag != cfg.Flag {
+		a.vDynFlag, a.vDynColors = cfg.Flag, cfg.Flag.Colors()
+	}
+	if err := cfg.Set.Covers(a.vDynColors); err != nil {
+		return nil, err
 	}
 	if cfg.Setup < 0 {
 		return nil, fmt.Errorf("sim: negative setup")

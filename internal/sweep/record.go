@@ -47,12 +47,15 @@ type Record struct {
 
 // newRecord summarizes a computed run and keeps the slim copy of it
 // that enc needs: the Result's own fields with Plan reduced to its
-// strategy and Grid and Trace dropped. The Procs and Implements slices
-// are shared with res, which the computing caller treats as read-only.
+// strategy, Grid and Trace dropped, and the Procs and Implements stats
+// copied, because res may alias a crew member's arena, which its next
+// compute overwrites.
 func newRecord(res *sim.Result, enc Encoder) *Record {
 	slim := *res
 	slim.Plan = &workplan.Plan{Strategy: res.Plan.Strategy}
 	slim.Grid, slim.Trace = nil, nil
+	slim.Procs = append([]sim.ProcStats(nil), res.Procs...)
+	slim.Implements = append([]sim.ImplementStats(nil), res.Implements...)
 	return &Record{
 		Summary: Summary{Makespan: res.Makespan, Events: res.Events, GridSHA256: res.Grid.Digest()},
 		enc:     enc, slim: &slim,

@@ -214,12 +214,14 @@ func (s Spec) run(ctx context.Context, probes []sim.Probe) (*sim.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return s.runOn(ctx, probes, f, nil)
+	return s.runOn(ctx, probes, f, nil, nil)
 }
 
 // runOn is run with the spec's flag already resolved to f and, when geo
-// is non-nil, f's geometry at the spec's size already built.
-func (s Spec) runOn(ctx context.Context, probes []sim.Probe, f *flagspec.Flag, geo *workplan.Geometry) (*sim.Result, error) {
+// is non-nil, f's geometry at the spec's size already built. A non-nil
+// arena runs the spec through it in owned mode, so the Result aliases
+// the arena until its next run; nil returns an independent Result.
+func (s Spec) runOn(ctx context.Context, probes []sim.Probe, f *flagspec.Flag, geo *workplan.Geometry, arena *sim.Arena) (*sim.Result, error) {
 	per := s.PerColor
 	if per < 1 {
 		per = 1
@@ -250,7 +252,7 @@ func (s Spec) runOn(ctx context.Context, probes []sim.Probe, f *flagspec.Flag, g
 		spec := core.RunSpec{
 			Flag: f, W: s.W, H: s.H, Scenario: scen, Team: team,
 			Set: set, Setup: s.Setup, Hold: s.Hold, Probes: probes,
-			Faults: faults, Geometry: geo,
+			Faults: faults, Geometry: geo, Arena: arena,
 		}
 		if s.Exec == ExecSteal {
 			return core.RunStealingCtx(ctx, spec)
@@ -268,7 +270,7 @@ func (s Spec) runOn(ctx context.Context, probes []sim.Probe, f *flagspec.Flag, g
 		return sim.RunDynamicCtx(ctx, sim.DynamicConfig{
 			Flag: f, W: s.W, H: s.H, Procs: team, Set: set,
 			Policy: s.Policy, Setup: s.Setup, Probes: probes,
-			Faults: faults, Geometry: geo,
+			Faults: faults, Geometry: geo, Arena: arena,
 		})
 	default:
 		return nil, fmt.Errorf("sweep: unknown executor class %d", s.Exec)

@@ -35,7 +35,9 @@ type Options struct {
 	// every compute on the engine's instrumented path. Because pool
 	// workers run concurrently, every probe listed here MUST be
 	// goroutine-safe (see the sim.Probe docs); sim.CountingProbe
-	// qualifies, sim.SpanCollector does not.
+	// qualifies, sim.SpanCollector does not. A probe that is also a
+	// sim.ResultProbe gets the live Result under the same terms as the
+	// Observer.
 	Probes []sim.Probe
 	// Observer, when non-nil, is handed every result the pool computes
 	// successfully, once, after its compute returns; never a memo hit, a
@@ -43,17 +45,23 @@ type Options struct {
 	// the engine, so an untraced, probe-free compute keeps the fast path,
 	// and it reads the run's totals from the Result (sim.Result.Counts).
 	// Pool workers call it concurrently, so it must be goroutine-safe.
-	// flagsimd publishes its engine metrics through it (obs.MetricsProbe).
+	// In record mode the Result aliases the computing crew member's
+	// arena, which that member's next compute overwrites: the Observer
+	// reads it during the call and must not keep it or anything it
+	// points to. flagsimd publishes its engine metrics through it
+	// (obs.MetricsProbe, which keeps only counts).
 	Observer sim.ResultProbe
 	// Encode, when non-nil, puts the Sweeper in record mode: a
 	// successful compute is memoized as a *Record (the run's Summary,
 	// plus a slim copy of its Result that Encode turns into canonical
 	// bytes on the record's first Bytes call) instead of the whole
-	// *sim.Result. In record mode the RunResult of the spec that
-	// computed carries both the live Result and the Record, and every
-	// hit carries the Record alone. flagsimd and flagworkd set it to
-	// wire.EncodeRecord; library callers leave it nil and get live
-	// Results on every hit.
+	// *sim.Result. Each crew member then computes through one arena
+	// borrowed from sim's pool (see crewArena), so the live Result is
+	// arena memory: only the Observer and installed ResultProbes see it,
+	// during their call, and every RunResult, the computing spec's
+	// included, carries the Record alone. flagsimd and flagworkd set it
+	// to wire.EncodeRecord; library callers leave it nil and get
+	// independent live Results on every compute and every hit.
 	Encode Encoder
 	// Tier, when non-nil, is a second cache level behind the in-memory
 	// memo — typically disk-backed and process-lifetime-crossing (see
@@ -109,9 +117,10 @@ func (c CacheStats) HitRate() float64 {
 // RunResult is the outcome of one spec in a batch.
 type RunResult struct {
 	Spec Spec
-	// Result is the completed run; shared (not copied) with every other
-	// cache hit of the same key, so treat it as read-only. In record mode
-	// only the spec that computed the run gets it; hits leave it nil.
+	// Result is the completed run outside record mode; shared (not
+	// copied) with every other cache hit of the same key, so treat it as
+	// read-only. In record mode it is nil on every run, computed or hit:
+	// Record holds what the run keeps.
 	Result *sim.Result
 	// Record is the run's memoized record in record mode (Options.Encode)
 	// when it succeeded; nil otherwise.
@@ -187,6 +196,8 @@ type Sweeper struct {
 	// geoLive those not yet dropped, across all batches.
 	geoBuilt atomic.Int64
 	geoLive  atomic.Int64
+	// arenasTaken counts the arenas crew members borrowed (crewArena).
+	arenasTaken atomic.Int64
 }
 
 // New returns a Sweeper with an empty cache. It panics when opts sets a
@@ -264,8 +275,8 @@ func (s *Sweeper) Run(ctx context.Context, specs []Spec) *Result {
 	batch := &Result{Runs: make([]RunResult, len(specs)), Workers: s.workers}
 	var hits, misses, tierHits, tierMisses atomic.Uint64
 	share := s.newGeoShare(specs)
-	// one runs spec i on the calling crew member.
-	one := func(i int) {
+	// one runs spec i on the calling crew member, whose arena it is.
+	one := func(i int, arena *crewArena) {
 		key := specs[i].Key()
 		for {
 			if ctx != nil {
@@ -305,7 +316,7 @@ func (s *Sweeper) Run(ctx context.Context, specs []Spec) *Result {
 				if f, geo, err := share.resolve(i); err != nil {
 					e.err = err
 				} else {
-					res, e.err = specs[i].runOn(ctx, s.probes, f, geo)
+					res, e.err = specs[i].runOn(ctx, s.probes, f, geo, arena.get())
 				}
 				elapsed := time.Since(t0)
 				if e.err == nil {
@@ -338,7 +349,7 @@ func (s *Sweeper) Run(ctx context.Context, specs []Spec) *Result {
 				close(e.done)
 				misses.Add(1)
 				s.misses.Add(1)
-				batch.Runs[i] = RunResult{Spec: specs[i], Result: res, Record: e.rec, Err: e.err, Elapsed: elapsed}
+				batch.Runs[i] = RunResult{Spec: specs[i], Result: e.res, Record: e.rec, Err: e.err, Elapsed: elapsed}
 				return
 			}
 
@@ -366,13 +377,15 @@ func (s *Sweeper) Run(ctx context.Context, specs []Spec) *Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			arena := crewArena{s: s}
 			for i := int(next.Add(1) - 1); i < len(specs); i = int(next.Add(1) - 1) {
 				s.queued.Add(-1)
 				s.running.Add(1)
-				one(i)
+				one(i, &arena)
 				s.running.Add(-1)
 				share.release(i)
 			}
+			arena.release()
 		}()
 	}
 	wg.Wait()
@@ -382,6 +395,35 @@ func (s *Sweeper) Run(ctx context.Context, specs []Spec) *Result {
 		TierHits: int(tierHits.Load()), TierMisses: int(tierMisses.Load()),
 	}
 	return batch
+}
+
+// crewArena is one crew member's arena for a batch. In record mode the
+// member computes every spec through one arena borrowed from sim's pool,
+// in owned mode, so a cold compute allocates no grid, plan or stats of
+// its own: the record copies what it keeps before the member's next
+// compute. The arena is borrowed at the member's first compute, never
+// before, so a batch served wholly from the memo leaves the pool alone,
+// and it is returned when the member leaves the batch. Outside record
+// mode get returns nil, and every compute draws a pooled arena and
+// returns an independent Result for the memo to keep.
+type crewArena struct {
+	s *Sweeper
+	a *sim.Arena
+}
+
+func (c *crewArena) get() *sim.Arena {
+	if c.a == nil && c.s.encode != nil {
+		c.a = sim.BorrowArena()
+		c.s.arenasTaken.Add(1)
+	}
+	return c.a
+}
+
+func (c *crewArena) release() {
+	if c.a != nil {
+		sim.ReturnArena(c.a)
+		c.a = nil
+	}
 }
 
 // RunAll executes specs on a fresh single-use Sweeper — the convenience

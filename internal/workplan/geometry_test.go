@@ -48,12 +48,17 @@ func geometryCases(t *testing.T) []geometryCase {
 func TestGeometryMatchesReferenceHelpers(t *testing.T) {
 	for _, c := range geometryCases(t) {
 		g := NewGeometry(c.f, c.w, c.h)
-		if !reflect.DeepEqual(g.LayerCells(), grid.LayerCells(c.f, c.w, c.h)) {
+		if !reflect.DeepEqual(layerCells(g), grid.LayerCells(c.f, c.w, c.h)) {
 			t.Errorf("%v: cells differ from grid.LayerCells", c)
 		}
-		for li, cells := range g.LayerCells() {
-			if g.LayerCellCount()[li] != len(cells) {
-				t.Errorf("%v: layer %d counts %d cells, has %d", c, li, g.LayerCellCount()[li], len(cells))
+		for li, tasks := range g.LayerTasks() {
+			if g.LayerCellCount()[li] != len(tasks) {
+				t.Errorf("%v: layer %d counts %d cells, has %d", c, li, g.LayerCellCount()[li], len(tasks))
+			}
+			for _, task := range tasks {
+				if task.Layer != li || task.Color != c.f.Layers[li].Color {
+					t.Fatalf("%v: layer %d holds task %+v", c, li, task)
+				}
 			}
 		}
 		if !reflect.DeepEqual(g.LayerDeps(), refLayerDeps(c.f, c.w, c.h)) {
@@ -86,7 +91,7 @@ func TestGeometryReferenceErrors(t *testing.T) {
 	if ref, err := g.Reference(); ref != nil || err == nil || err.Error() != want.Error() {
 		t.Errorf("Reference() = %v, %v; want grid.Rasterize's %v", ref, err, want)
 	}
-	if !reflect.DeepEqual(g.LayerCells(), grid.LayerCells(bad, 4, 2)) ||
+	if !reflect.DeepEqual(layerCells(g), grid.LayerCells(bad, 4, 2)) ||
 		!reflect.DeepEqual(g.LayerDeps(), refLayerDeps(bad, 4, 2)) {
 		t.Errorf("cells or deps of an invalid flag differ from the reference helpers")
 	}
@@ -99,6 +104,18 @@ func TestGeometryReferenceErrors(t *testing.T) {
 	if err := NewGeometry(flagspec.Mauritius, 12, 8).Match(flagspec.France, 12, 8); err == nil {
 		t.Error("a mauritius geometry matched a france run")
 	}
+}
+
+// layerCells returns the cells of g's layer task lists, nil for a layer
+// with none, in grid.LayerCells form.
+func layerCells(g *Geometry) [][]geom.Pt {
+	out := make([][]geom.Pt, len(g.LayerTasks()))
+	for li, tasks := range g.LayerTasks() {
+		for _, task := range tasks {
+			out[li] = append(out[li], task.Cell)
+		}
+	}
+	return out
 }
 
 // planResult is one planner call's outcome in comparable form.
@@ -154,7 +171,7 @@ func TestPlannersMatchReference(t *testing.T) {
 				comparePlans(t, fmt.Sprintf("%v/%s/p=%d", c, name, p), r[0], r[1])
 			}
 		}
-		if !reflect.DeepEqual(g.LayerCells(), grid.LayerCells(c.f, c.w, c.h)) ||
+		if !reflect.DeepEqual(layerCells(g), grid.LayerCells(c.f, c.w, c.h)) ||
 			!reflect.DeepEqual(g.LayerDeps(), refLayerDeps(c.f, c.w, c.h)) {
 			t.Errorf("%v: planning modified the shared geometry", c)
 		}
@@ -428,7 +445,7 @@ func refSequentialOrdered(f *flagspec.Flag, w, h int, o Ordering) (*Plan, error)
 	var tasks []Task
 	counts := make([]int, len(f.Layers))
 	for li, cells := range layerCells {
-		for _, c := range reorder(cells, o) {
+		for _, c := range refReorder(cells, o) {
 			tasks = append(tasks, Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
 		}
 		counts[li] = len(cells)
@@ -442,4 +459,28 @@ func refSequentialOrdered(f *flagspec.Flag, w, h int, o Ordering) (*Plan, error)
 		Overpainted:    true,
 	}
 	return plan, plan.Validate()
+}
+
+func refReorder(cells []geom.Pt, o Ordering) []geom.Pt {
+	out := append([]geom.Pt(nil), cells...)
+	switch o {
+	case Serpentine:
+		sort.SliceStable(out, func(a, b int) bool {
+			if out[a].Y != out[b].Y {
+				return out[a].Y < out[b].Y
+			}
+			if out[a].Y%2 == 0 {
+				return out[a].X < out[b].X
+			}
+			return out[a].X > out[b].X
+		})
+	default:
+		sort.SliceStable(out, func(a, b int) bool {
+			if out[a].Y != out[b].Y {
+				return out[a].Y < out[b].Y
+			}
+			return out[a].X < out[b].X
+		})
+	}
+	return out
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"flagsim/internal/flagspec"
-	"flagsim/internal/geom"
 )
 
 // Cell orderings. Reading order (the default everywhere else) jumps from
@@ -41,29 +40,30 @@ func (o Ordering) String() string {
 	}
 }
 
-// reorder sorts cells into the requested traversal.
-func reorder(cells []geom.Pt, o Ordering) []geom.Pt {
-	out := append([]geom.Pt(nil), cells...)
+// reorder sorts tasks, whose cells all lie in one layer, into the
+// requested traversal.
+func reorder(tasks []Task, o Ordering) {
 	switch o {
 	case Serpentine:
-		sort.SliceStable(out, func(a, b int) bool {
-			if out[a].Y != out[b].Y {
-				return out[a].Y < out[b].Y
+		sort.SliceStable(tasks, func(a, b int) bool {
+			ca, cb := tasks[a].Cell, tasks[b].Cell
+			if ca.Y != cb.Y {
+				return ca.Y < cb.Y
 			}
-			if out[a].Y%2 == 0 {
-				return out[a].X < out[b].X
+			if ca.Y%2 == 0 {
+				return ca.X < cb.X
 			}
-			return out[a].X > out[b].X
+			return ca.X > cb.X
 		})
 	default:
-		sort.SliceStable(out, func(a, b int) bool {
-			if out[a].Y != out[b].Y {
-				return out[a].Y < out[b].Y
+		sort.SliceStable(tasks, func(a, b int) bool {
+			ca, cb := tasks[a].Cell, tasks[b].Cell
+			if ca.Y != cb.Y {
+				return ca.Y < cb.Y
 			}
-			return out[a].X < out[b].X
+			return ca.X < cb.X
 		})
 	}
-	return out
 }
 
 // SequentialOrdered is Sequential with an explicit cell traversal within
@@ -74,11 +74,15 @@ func SequentialOrdered(f *flagspec.Flag, w, h int, o Ordering) (*Plan, error) {
 
 // SequentialOrdered is the package-level SequentialOrdered over g.
 func (g *Geometry) SequentialOrdered(o Ordering) (*Plan, error) {
-	tasks := taskLists([]int{g.cellTotal()})[0]
-	for li, cells := range g.cells {
-		for _, c := range reorder(cells, o) {
-			tasks = append(tasks, Task{Cell: c, Color: g.flag.Layers[li].Color, Layer: li})
-		}
+	return g.memo(planKey{strategy: plannerSequentialOrdered, order: o})
+}
+
+func (g *Geometry) sequentialOrdered(o Ordering) (*Plan, error) {
+	tasks := taskLists([]int{len(g.tasks)})[0]
+	for _, layer := range g.layers {
+		start := len(tasks)
+		tasks = append(tasks, layer...)
+		reorder(tasks[start:], o)
 	}
 	return g.plan(fmt.Sprintf("sequential-%s", o), [][]Task{tasks})
 }

@@ -38,6 +38,12 @@ type Task struct {
 
 // Plan is a complete decomposition: an ordered task list per processor,
 // plus the layer dependency structure the simulator must enforce.
+//
+// A plan is read-only once returned. A Geometry hands the same *Plan to
+// every caller that asks for its strategy, and the task lists of
+// Sequential and LayerBlocks are ranges of the geometry's task array,
+// so no caller may modify a plan's task lists, dependencies or counts;
+// copy a list before changing it.
 type Plan struct {
 	// FlagName and W, H identify the workload.
 	FlagName string
@@ -160,7 +166,8 @@ func first(pts []geom.Pt) geom.Pt {
 }
 
 // plan assembles a full-layer (overpainted) plan over g's layer
-// structure and validates it.
+// structure and validates it: every memoized plan is validated once,
+// when it is built.
 func (g *Geometry) plan(strategy string, perProc [][]Task) (*Plan, error) {
 	plan := &Plan{
 		FlagName: g.flag.Name, W: g.w, H: g.h,
@@ -191,7 +198,8 @@ func Sequential(f *flagspec.Flag, w, h int) (*Plan, error) {
 	return NewGeometry(f, w, h).Sequential()
 }
 
-// Sequential is the package-level Sequential over g.
+// Sequential is the package-level Sequential over g. Its one task list
+// is the geometry's task array.
 func (g *Geometry) Sequential() (*Plan, error) { return g.LayerBlocks(1) }
 
 // LayerBlocks distributes whole layers over p processors in contiguous
@@ -203,8 +211,14 @@ func LayerBlocks(f *flagspec.Flag, w, h int, p int) (*Plan, error) {
 	return NewGeometry(f, w, h).LayerBlocks(p)
 }
 
-// LayerBlocks is the package-level LayerBlocks over g.
+// LayerBlocks is the package-level LayerBlocks over g. A processor's
+// layers are contiguous in flag order, so its task list is one range of
+// the geometry's task array, capped at its end.
 func (g *Geometry) LayerBlocks(p int) (*Plan, error) {
+	return g.memo(planKey{strategy: plannerLayerBlocks, p: p})
+}
+
+func (g *Geometry) layerBlocks(p int) (*Plan, error) {
 	f := g.flag
 	if p <= 0 {
 		return nil, fmt.Errorf("workplan: %d processors", p)
@@ -215,16 +229,14 @@ func (g *Geometry) LayerBlocks(p int) (*Plan, error) {
 	}
 	// Contiguous balanced partition of layers by cell count (simple
 	// greedy: target = total/p, close a block when it reaches target).
-	total := g.cellTotal()
-	procOf := make([]int, len(f.Layers))
+	total := len(g.tasks)
 	counts := make([]int, p)
 	proc, acc := 0, 0
 	remainingLayers := len(f.Layers)
-	for li, n := range g.counts {
+	for _, n := range g.counts {
 		remainingProcs := p - proc - 1
 		// Never leave more processors than layers remaining.
 		mustClose := remainingLayers-1 < remainingProcs+1 && proc < p-1
-		procOf[li] = proc
 		counts[proc] += n
 		acc += n
 		remainingLayers--
@@ -232,12 +244,13 @@ func (g *Geometry) LayerBlocks(p int) (*Plan, error) {
 			proc++
 		}
 	}
-	perProc := taskLists(counts)
-	for li, cells := range g.cells {
-		pi := procOf[li]
-		for _, c := range cells {
-			perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
+	perProc := make([][]Task, p)
+	start := 0
+	for pi, n := range counts {
+		if n > 0 {
+			perProc[pi] = g.tasks[start : start+n : start+n]
 		}
+		start += n
 	}
 	return g.plan(fmt.Sprintf("layer-blocks(p=%d)", p), perProc)
 }
@@ -254,6 +267,10 @@ func VerticalSlices(f *flagspec.Flag, w, h, p int, rotate bool) (*Plan, error) {
 
 // VerticalSlices is the package-level VerticalSlices over g.
 func (g *Geometry) VerticalSlices(p int, rotate bool) (*Plan, error) {
+	return g.memo(planKey{strategy: plannerVerticalSlices, p: p, rotate: rotate})
+}
+
+func (g *Geometry) verticalSlices(p int, rotate bool) (*Plan, error) {
 	f := g.flag
 	if p <= 0 {
 		return nil, fmt.Errorf("workplan: %d processors", p)
@@ -272,10 +289,8 @@ func (g *Geometry) VerticalSlices(p int, rotate bool) (*Plan, error) {
 		}
 	}
 	counts := make([]int, p)
-	for _, cells := range g.cells {
-		for _, c := range cells {
-			counts[sliceOf[c.X]]++
-		}
+	for _, t := range g.tasks {
+		counts[sliceOf[t.Cell.X]]++
 	}
 	perProc := taskLists(counts)
 	nl := len(f.Layers)
@@ -285,9 +300,9 @@ func (g *Geometry) VerticalSlices(p int, rotate bool) (*Plan, error) {
 			if rotate {
 				li = (pi*nl/p + k) % nl
 			}
-			for _, c := range g.cells[li] {
-				if sliceOf[c.X] == pi {
-					perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
+			for _, t := range g.layers[li] {
+				if sliceOf[t.Cell.X] == pi {
+					perProc[pi] = append(perProc[pi], t)
 				}
 			}
 		}
@@ -317,7 +332,10 @@ func Blocks(f *flagspec.Flag, w, h, p, gx, gy int) (*Plan, error) {
 
 // Blocks is the package-level Blocks over g.
 func (g *Geometry) Blocks(p, gx, gy int) (*Plan, error) {
-	f := g.flag
+	return g.memo(planKey{strategy: plannerBlocks, p: p, gx: gx, gy: gy})
+}
+
+func (g *Geometry) blocks(p, gx, gy int) (*Plan, error) {
 	if p <= 0 || gx <= 0 || gy <= 0 {
 		return nil, fmt.Errorf("workplan: bad block parameters p=%d gx=%d gy=%d", p, gx, gy)
 	}
@@ -341,20 +359,18 @@ func (g *Geometry) Blocks(p, gx, gy int) (*Plan, error) {
 	}
 	blockOf := func(c geom.Pt) int { return colOf[c.X]*gy + rowOf[c.Y] }
 	counts := make([]int, p)
-	for _, cells := range g.cells {
-		for _, c := range cells {
-			counts[blockOf(c)%p]++
-		}
+	for _, t := range g.tasks {
+		counts[blockOf(t.Cell)%p]++
 	}
 	// Each processor paints layer by layer so dependencies are
 	// satisfiable, and within a layer its blocks in order.
 	perProc := taskLists(counts)
-	for li, cells := range g.cells {
+	for _, tasks := range g.layers {
 		for bi := 0; bi < gx*gy; bi++ {
 			pi := bi % p
-			for _, c := range cells {
-				if blockOf(c) == bi {
-					perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
+			for _, t := range tasks {
+				if blockOf(t.Cell) == bi {
+					perProc[pi] = append(perProc[pi], t)
 				}
 			}
 		}
@@ -371,11 +387,14 @@ func Cyclic(f *flagspec.Flag, w, h, p int) (*Plan, error) {
 
 // Cyclic is the package-level Cyclic over g.
 func (g *Geometry) Cyclic(p int) (*Plan, error) {
-	f := g.flag
+	return g.memo(planKey{strategy: plannerCyclic, p: p})
+}
+
+func (g *Geometry) cyclic(p int) (*Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("workplan: %d processors", p)
 	}
-	total := g.cellTotal()
+	total := len(g.tasks)
 	counts := make([]int, p)
 	for pi := range counts {
 		counts[pi] = total / p
@@ -387,13 +406,9 @@ func (g *Geometry) Cyclic(p int) (*Plan, error) {
 	// One continuous deal across all layers: restarting at processor 0
 	// per layer would hand the low-index processors an extra cell per
 	// layer and compound the imbalance.
-	deal := 0
-	for li, cells := range g.cells {
-		for _, c := range cells {
-			pi := deal % p
-			deal++
-			perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
-		}
+	for deal, t := range g.tasks {
+		pi := deal % p
+		perProc[pi] = append(perProc[pi], t)
 	}
 	return g.plan(fmt.Sprintf("cyclic(p=%d)", p), perProc)
 }
