@@ -475,8 +475,7 @@ const (
 // Observer handed every computed Result (an EngineMetricsProbe, say),
 // and record mode (an encoder; the memo then keeps each run's summary
 // and canonical bytes, not its Result, and computes run on arenas the
-// pool reuses, so the Observer must not keep a Result) with an optional
-// second cache tier behind it.
+// pool reuses, so the Observer must not keep a Result).
 type SweepOptions = sweep.Options
 
 // SweepResult is a completed batch: per-run outcomes in input order plus

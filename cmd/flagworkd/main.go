@@ -3,14 +3,13 @@
 // executes them one at a time on a local sweep pool, and reports the
 // canonical result bytes back. Run more workers for more concurrency. Killing a worker at any moment — even kill -9 mid-job —
 // loses nothing: the lease expires and the dispatcher requeues the job.
+// A worker keeps nothing on disk: the dispatcher's result store holds
+// every result, and a restarted worker starts with an empty memo.
 //
 // Usage:
 //
 //	flagworkd -dispatcher http://localhost:9090
 //	flagworkd -name rack3-7
-//	flagworkd -cache-dir /var/cache/flagwork   # local disk result tier:
-//	                                           # survives restarts, one
-//	                                           # worker per dir at a time
 //	flagworkd -metrics-addr 127.0.0.1:9101     # flagsim_dist_worker_* families
 //
 // Every job runs on the engine's fast path and its report carries the
@@ -36,7 +35,6 @@ import (
 
 	"flagsim/internal/dist"
 	"flagsim/internal/obs"
-	"flagsim/internal/sweep"
 )
 
 func main() {
@@ -45,7 +43,6 @@ func main() {
 		name        = flag.String("name", "", "worker label on the dispatcher (default host:pid)")
 		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "lease duration requested per job")
 		poll        = flag.Duration("poll", 200*time.Millisecond, "idle sleep between empty lease calls")
-		cacheDir    = flag.String("cache-dir", "", "local disk result tier directory (empty = memory-only memo)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics on this address (empty = disabled)")
 		logLevel    = flag.String("log-level", "info", "minimum log severity: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "structured log encoding: text or json")
@@ -62,23 +59,11 @@ func main() {
 		*name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
 
-	var tier sweep.Tier
-	if *cacheDir != "" {
-		dt, err := dist.OpenDiskTier(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flagworkd:", err)
-			os.Exit(1)
-		}
-		tier = dt
-		log.Printf("flagworkd: disk tier at %s (%d results resident)", *cacheDir, dt.Store().Len())
-	}
-
 	w := dist.NewWorker(dist.WorkerConfig{
 		Dispatcher:   *dispatcher,
 		Name:         *name,
 		LeaseTTL:     *leaseTTL,
 		PollInterval: *poll,
-		Tier:         tier,
 		Logger:       logger,
 	})
 

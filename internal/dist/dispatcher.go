@@ -87,7 +87,6 @@ func (c DispatcherConfig) withDefaults() DispatcherConfig {
 // to an unknown worker's lease call, and the worker re-registers.
 type workerInfo struct {
 	name     string
-	slots    int
 	lastSeen time.Time
 	// stats is the worker's own snapshot, last piggybacked on a lease or
 	// renew call; federated out via per-worker labeled gauges.
@@ -388,8 +387,7 @@ func (d *Dispatcher) touchWorker(id string, stats *WorkerStatsReport) (name stri
 	w.lastSeen = d.now()
 	if stats != nil {
 		w.stats = obs.DistWorkerStats{
-			JobsExecuted: stats.JobsExecuted, JobsFailed: stats.JobsFailed,
-			LeasesLost: stats.LeasesLost, TierHits: stats.TierHits,
+			JobsExecuted: stats.JobsExecuted, JobsFailed: stats.JobsFailed, LeasesLost: stats.LeasesLost,
 		}
 	}
 	return w.name, true
@@ -418,9 +416,7 @@ func (d *Dispatcher) workerRows() []obs.DistWorkerRow {
 	rows := make([]obs.DistWorkerRow, 0, len(latest))
 	for _, w := range latest {
 		rows = append(rows, obs.DistWorkerRow{
-			Worker: w.name, Slots: float64(w.slots),
-			SecondsSinceSeen: now.Sub(w.lastSeen).Seconds(),
-			Stats:            w.stats,
+			Worker: w.name, SecondsSinceSeen: now.Sub(w.lastSeen).Seconds(), Stats: w.stats,
 		})
 	}
 	return rows
@@ -611,7 +607,7 @@ func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	id := obs.NewRunID()
 	d.mu.Lock()
-	d.workers[id] = &workerInfo{name: req.Name, slots: req.Slots, lastSeen: d.now()}
+	d.workers[id] = &workerInfo{name: req.Name, lastSeen: d.now()}
 	d.mu.Unlock()
 	d.log.Info("worker registered", slog.String("worker", req.Name), slog.String("id", id))
 	server.WriteJSON(w, http.StatusOK, RegisterResponse{WorkerID: id})

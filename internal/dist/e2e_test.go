@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -133,23 +134,38 @@ func localCanonical(t *testing.T, sreq wire.SweepRequest) (jobs []Job, want map[
 
 func postSweep(t *testing.T, url string, sreq wire.SweepRequest) SweepFleetResponse {
 	t.Helper()
-	body, err := json.Marshal(sreq)
+	out, err := sendSweep(context.Background(), url, sreq)
 	if err != nil {
 		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out SweepFleetResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep status %d", resp.StatusCode)
 	}
 	return out
+}
+
+// sendSweep is postSweep for any goroutine: it returns what fails, and
+// ctx ends the request.
+func sendSweep(ctx context.Context, url string, sreq wire.SweepRequest) (SweepFleetResponse, error) {
+	var out SweepFleetResponse
+	body, err := json.Marshal(sreq)
+	if err != nil {
+		return out, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/sweep", bytes.NewReader(body))
+	if err != nil {
+		return out, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return out, err
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return out, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return out, fmt.Errorf("sweep status %d", resp.StatusCode)
+	}
+	return out, nil
 }
 
 // TestFleetSweepMatchesLocal is the core determinism claim: a sweep

@@ -62,6 +62,13 @@ func FuzzDistWireDecode(f *testing.F) {
 	if _, err := DecodeReport(oldReport); err != nil {
 		f.Errorf("report with an old-style trace: %v, want accepted", err)
 	}
+	// A lease from a worker that still reports its disk tier's hits: the
+	// count is validated and ignored.
+	oldLease := oldWorkerLease("abc")
+	f.Add([]byte(oldLease))
+	if _, err := DecodeLease(oldLease); err != nil {
+		f.Errorf("lease with tier_hits: %v, want accepted", err)
+	}
 
 	check := func(t *testing.T, name string, err error) {
 		if err != nil && !errors.Is(err, ErrWire) {

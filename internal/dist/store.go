@@ -1,15 +1,13 @@
 package dist
 
-// ResultStore is the cluster's second cache tier: one append-only,
-// checksummed log of results per store directory, each frame filed under
-// the spec's content address and found again through an in-memory index.
-// It outlives processes — a dispatcher restarted on the same -data-dir
-// serves the same warm set, and so does a worker restarted on the same
-// -cache-dir (DiskTier keeps the same payloads in its own directory). A
-// store directory has one owner process at a time, as the queue journal
-// beside it does. The store is the only record of a finished job: what a
-// stored result says is decoded once, by decodeResult, into the entry
-// every reader uses.
+// ResultStore is the cluster's result tier: one append-only, checksummed
+// log of results per store directory, each frame filed under the spec's
+// content address and found again through an in-memory index. It
+// outlives processes — a dispatcher restarted on the same -data-dir
+// serves the same warm set. A store directory has one owner process at a
+// time, as the queue journal beside it does. The store is the only
+// record of a finished job: what a stored result says is decoded once,
+// by decodeResult, into the entry every reader uses.
 //
 // Log format: frames back to back, each "FDRS" | u16 version | key[32] |
 // u32 payloadLen | payload | sha256(key | payload). The key is stored
@@ -149,11 +147,7 @@ type ResultStore struct {
 // OpenResultStore opens (creating if needed) the store under dir,
 // scanning its log into the index.
 func OpenResultStore(dir string) (*ResultStore, error) {
-	return openStore(filepath.Join(dir, storeDirName))
-}
-
-// openStore opens the store whose log lives in sdir.
-func openStore(sdir string) (*ResultStore, error) {
+	sdir := filepath.Join(dir, storeDirName)
 	if err := os.MkdirAll(sdir, 0o755); err != nil {
 		return nil, err
 	}
@@ -299,23 +293,17 @@ func (s *ResultStore) Stats() StoreStats {
 // a frame that fails verification is purged and reported as a miss.
 // The returned slice is shared — callers must not mutate it.
 func (s *ResultStore) Get(key Key) ([]byte, bool) {
-	e, ok := s.get(key)
-	return e.payload, ok
-}
-
-// get is Get returning the whole entry.
-func (s *ResultStore) get(key Key) (entry, bool) {
 	e, ok := s.read(key)
 	if ok {
 		s.hits.Add(1)
 	} else {
 		s.misses.Add(1)
 	}
-	return e, ok
+	return e.payload, ok
 }
 
-// read is get without the hit and miss counts, for a caller that counts
-// what it serves itself (served).
+// read is Get returning the whole entry, without the hit and miss
+// counts, for a caller that counts what it serves itself (served).
 func (s *ResultStore) read(key Key) (entry, bool) {
 	s.mu.Lock()
 	if e, ok := s.mem[key]; ok {

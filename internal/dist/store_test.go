@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -13,7 +14,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"flagsim/internal/sweep"
 	"flagsim/internal/wire"
 )
 
@@ -338,6 +341,44 @@ func TestStorePutRefusesNonResults(t *testing.T) {
 	}
 }
 
+// TestStoreDecodeRejects: the store's decoder reads a wire result's
+// summary and refuses, with ErrWire, a payload that is not a wire result
+// with a 64-hex-digit grid digest, so a frame holding one is purged
+// instead of served.
+func TestStoreDecodeRejects(t *testing.T) {
+	res, err := sweep.Spec{Flag: "mauritius", Scenario: 2, Seed: 11}.RunOnce(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := wire.MarshalResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := decodeResult(good)
+	if err != nil {
+		t.Fatalf("wire bytes rejected: %v", err)
+	}
+	want := summary{makespanNS: int64(res.Makespan), events: res.Events,
+		gridSHA256: fmt.Sprintf("%x", res.Grid.Digest())}
+	if e.summary != want || !bytes.Equal(e.payload, good) {
+		t.Fatalf("decoded %+v, want %+v over the same bytes", e.summary, want)
+	}
+	cases := map[string]string{
+		"not json":        `{{{`,
+		"old codec":       `{"v":1,"makespan_ns":1,"setup_ns":0,"faults":{}}`,
+		"unknown field":   `{"strategy":"s","makespan_ns":1,"grid_sha256":"` + fmt.Sprintf("%064x", 0) + `","zzz":1}`,
+		"short digest":    `{"strategy":"s","makespan_ns":1,"grid_sha256":"00"}`,
+		"non-hex digest":  `{"strategy":"s","makespan_ns":1,"grid_sha256":"` + fmt.Sprintf("%064s", "xyz") + `"}`,
+		"trailing data":   string(good) + ` {}`,
+		"missing payload": ``,
+	}
+	for name, raw := range cases {
+		if _, err := decodeResult([]byte(raw)); !errors.Is(err, ErrWire) {
+			t.Errorf("%s: err = %v, want ErrWire", name, err)
+		}
+	}
+}
+
 // TestStoreConcurrentPutsFirstWriteWins: concurrent Puts of one key
 // append one frame. Every Put returns after it is durable; the ones whose
 // bytes differ from the winner's count as mismatches, and Get serves the
@@ -573,9 +614,36 @@ func TestDataDirBeforeResultLog(t *testing.T) {
 		t.Fatalf("store over version-1 files: %+v, want empty", st)
 	}
 
+	// The sweep goes in before any worker runs: a worker started first
+	// could finish the recovered seed-3 job before the sweep reads the
+	// store, and that row would read warm. The worker starts once the
+	// dispatcher has taken the sweep's jobs (seed 1 enqueued, seeds 2
+	// and 3 deduped onto the failed and the recovered job).
+	type swept struct {
+		resp SweepFleetResponse
+		err  error
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sweepDone := make(chan swept, 1)
+	go func() {
+		resp, err := sendSweep(ctx, f.srv.URL, sreq)
+		sweepDone <- swept{resp, err}
+	}()
+	for st := q.Stats(); st.Enqueued+st.Deduped < 3; st = q.Stats() {
+		select {
+		case got := <-sweepDone:
+			t.Fatalf("the sweep answered before any worker ran: %+v (%v)", got.resp, got.err)
+		case <-time.After(time.Millisecond):
+		}
+	}
 	stopWorkers := startWorkers(t, f, 1, nil)
 	defer stopWorkers()
-	resp := postSweep(t, f.srv.URL, sreq)
+	got := <-sweepDone
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	resp := got.resp
 	if resp.Warm != 0 || resp.Failed != 1 || resp.Runs[1].Err != "boom" {
 		t.Fatalf("sweep over the old data dir: %+v", resp)
 	}

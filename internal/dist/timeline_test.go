@@ -509,3 +509,55 @@ func TestReportIgnoresOldWorkerTrace(t *testing.T) {
 		t.Fatalf("engine lane has %d events, want RunOnce's %d: the old trace was not ignored", len(lane)-1, len(want))
 	}
 }
+
+// oldWorkerStats is the stats snapshot older workers piggybacked on
+// lease and renew calls, with their local disk tier's hit count.
+const oldWorkerStats = `{"jobs_executed":2,"jobs_failed":0,"leases_lost":0,"tier_hits":3}`
+
+// oldWorkerLease is an older worker's lease call.
+func oldWorkerLease(workerID string) json.RawMessage {
+	return json.RawMessage(`{"worker_id":"` + workerID + `","ttl_ms":1000,"stats":` + oldWorkerStats + `}`)
+}
+
+// TestDispatcherAcceptsOldWorkerFields: an older worker's register
+// carrying "slots", and its lease and renew whose stats carry
+// "tier_hits", are answered 200. Neither field reaches /metrics: the
+// worker has a federated row, but no tier-hit or slots series.
+func TestDispatcherAcceptsOldWorkerFields(t *testing.T) {
+	f := startFleet(t, t.TempDir())
+	defer f.stop(t)
+	var reg RegisterResponse
+	register := json.RawMessage(`{"name":"old","slots":4}`)
+	if code := postWorker(t, f.srv.URL, "/v1/workers/register", register, &reg); code != http.StatusOK {
+		t.Fatalf("register with slots: %d, want 200", code)
+	}
+	if _, _, err := f.d.EnqueueJobs([]Job{testJob(t, 56)}); err != nil {
+		t.Fatal(err)
+	}
+	var lease LeaseResponse
+	if code := postWorker(t, f.srv.URL, "/v1/workers/lease", oldWorkerLease(reg.WorkerID), &lease); code != http.StatusOK {
+		t.Fatalf("lease with tier_hits: %d, want 200", code)
+	}
+	renew := json.RawMessage(`{"lease_id":"` + lease.LeaseID + `","ttl_ms":1000,"stats":` + oldWorkerStats + `}`)
+	if code := postWorker(t, f.srv.URL, "/v1/workers/renew", renew, nil); code != http.StatusOK {
+		t.Fatalf("renew with tier_hits: %d, want 200", code)
+	}
+	resp, err := http.Get(f.srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	if !strings.Contains(text, `flagsim_dist_worker_jobs_executed{worker="old"} 2`) {
+		t.Fatalf("no federated row for the old worker:\n%s", text)
+	}
+	for _, family := range []string{"flagsim_dist_worker_tier", "flagsim_dist_worker_slots"} {
+		if strings.Contains(text, family) {
+			t.Errorf("/metrics shows %s:\n%s", family, text)
+		}
+	}
+}

@@ -8,9 +8,10 @@
 // SHA-256 content address (Spec.Key) determines its Result bit-for-bit.
 // That makes jobs dedupable on enqueue (two clients submitting the same
 // spec share one execution), results verifiable (any worker's report for
-// a key must equal any other's, byte for byte), and the memo cache
-// extensible into a disk-backed, machine-spanning second tier — a warm
-// fleet never recomputes anything any worker has ever run.
+// a key must equal any other's, byte for byte), and results storable in
+// one place: the dispatcher's result store serves every key any worker
+// has ever computed, so a warm fleet recomputes nothing and a worker
+// keeps nothing on disk.
 //
 // Durability contract: an accepted job survives dispatcher crashes (the
 // queue journal is fsynced before the enqueue is acknowledged), a
@@ -104,9 +105,8 @@ type RegisterRequest struct {
 	// Name is the worker's self-chosen label (host:pid by convention);
 	// purely informational.
 	Name string `json:"name"`
-	// Slots is the worker's local execution concurrency; informational.
-	// A flagworkd runs one job at a time and sends 1; the field stays so
-	// strict decoding accepts older workers that sent their pool size.
+	// Slots is ignored. Older workers sent their execution concurrency
+	// here; the field stays so strict decoding accepts their registers.
 	Slots int `json:"slots,omitempty"`
 }
 
@@ -123,7 +123,10 @@ type WorkerStatsReport struct {
 	JobsExecuted float64 `json:"jobs_executed"`
 	JobsFailed   float64 `json:"jobs_failed"`
 	LeasesLost   float64 `json:"leases_lost"`
-	TierHits     float64 `json:"tier_hits"`
+	// TierHits is validated and ignored. Older workers counted their
+	// local disk tier's hits here; the field stays so strict decoding
+	// accepts their lease and renew calls.
+	TierHits float64 `json:"tier_hits,omitempty"`
 }
 
 // validate rejects snapshots no worker can legitimately produce.

@@ -35,10 +35,6 @@ type WorkerConfig struct {
 	// PollInterval is the idle sleep between empty lease calls;
 	// default 200ms.
 	PollInterval time.Duration
-	// Tier, when non-nil, is the worker's local disk cache
-	// (sweep.Options.Tier, e.g. a DiskTier): records survive worker
-	// restarts. A DiskTier's directory has one owner process at a time.
-	Tier sweep.Tier
 	// Logger receives the worker's structured log; nil discards.
 	Logger *slog.Logger
 	// Client is the HTTP client; nil means a 30s-timeout default.
@@ -80,16 +76,15 @@ type Worker struct {
 	testHookBeforeReport func(job Job) bool
 }
 
-// NewWorker assembles a worker around its own sweep pool (memo cache
-// plus optional disk tier). The pool has one worker, because Run
-// executes one leased job at a time. The memo runs in record mode: a
-// job's entry keeps the canonical bytes its report carried, not the
-// whole result.
+// NewWorker assembles a worker around its own sweep pool. The pool has
+// one worker, because Run executes one leased job at a time. Its memo
+// runs in record mode: a job's entry keeps the canonical bytes its
+// report carried, not the whole result.
 func NewWorker(cfg WorkerConfig) *Worker {
 	cfg = cfg.withDefaults()
 	return &Worker{
 		cfg:     cfg,
-		sweeper: sweep.New(sweep.Options{Workers: 1, Encode: wire.EncodeRecord, Tier: cfg.Tier}),
+		sweeper: sweep.New(sweep.Options{Workers: 1, Encode: wire.EncodeRecord}),
 		log:     cfg.Logger,
 	}
 }
@@ -100,11 +95,11 @@ func (w *Worker) Stats() obs.DistWorkerStats {
 		JobsExecuted: float64(w.executed.Load()),
 		JobsFailed:   float64(w.failed.Load()),
 		LeasesLost:   float64(w.leasesLost.Load()),
-		TierHits:     float64(w.sweeper.Stats().TierHits),
 	}
 }
 
-// Sweeper exposes the worker's pool (tests).
+// Sweeper exposes the worker's pool, whose memo statistics a benchmark
+// reads.
 func (w *Worker) Sweeper() *sweep.Sweeper { return w.sweeper }
 
 // Run registers with the dispatcher (retrying until ctx dies) and
@@ -237,15 +232,14 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 func (w *Worker) statsReport() *WorkerStatsReport {
 	s := w.Stats()
 	return &WorkerStatsReport{
-		JobsExecuted: s.JobsExecuted, JobsFailed: s.JobsFailed,
-		LeasesLost: s.LeasesLost, TierHits: s.TierHits,
+		JobsExecuted: s.JobsExecuted, JobsFailed: s.JobsFailed, LeasesLost: s.LeasesLost,
 	}
 }
 
 var errUnknownWorker = errors.New("dist: dispatcher does not know this worker")
 
 func (w *Worker) register(ctx context.Context) error {
-	req := RegisterRequest{Name: w.cfg.Name, Slots: 1}
+	req := RegisterRequest{Name: w.cfg.Name}
 	for {
 		var resp RegisterResponse
 		status, err := w.post(ctx, "/v1/workers/register", req, &resp)

@@ -95,9 +95,6 @@ type DistWorkerStats struct {
 	// LeasesLost counts executions abandoned because a renew came back
 	// gone — the dispatcher had requeued the job.
 	LeasesLost float64
-	// TierHits counts executions served from the worker's local disk
-	// tier without running the engine.
-	TierHits float64
 }
 
 // DistWorkerRow is one worker's row in the dispatcher's federated
@@ -106,8 +103,6 @@ type DistWorkerStats struct {
 type DistWorkerRow struct {
 	// Worker is the worker's self-chosen name — the series label.
 	Worker string
-	// Slots is the worker's declared execution concurrency.
-	Slots float64
 	// SecondsSinceSeen is the age of the worker's last contact.
 	SecondsSinceSeen float64
 	// Stats is the worker's own snapshot, relayed verbatim.
@@ -140,12 +135,6 @@ func RegisterDistWorkerFederation(r *Registry, fn func() []DistWorkerRow) {
 	r.GaugeSeriesFunc("flagsim_dist_worker_leases_lost",
 		"Executions abandoned to lease expiry, per worker, as last heartbeated.",
 		labels, series(func(w DistWorkerRow) float64 { return w.Stats.LeasesLost }))
-	r.GaugeSeriesFunc("flagsim_dist_worker_tier_hits",
-		"Executions served from the worker's local result tier, as last heartbeated.",
-		labels, series(func(w DistWorkerRow) float64 { return w.Stats.TierHits }))
-	r.GaugeSeriesFunc("flagsim_dist_worker_slots",
-		"Declared execution concurrency, per registered worker.",
-		labels, series(func(w DistWorkerRow) float64 { return w.Slots }))
 	r.GaugeSeriesFunc("flagsim_dist_worker_last_seen_seconds",
 		"Seconds since the worker's last contact with the dispatcher.",
 		labels, series(func(w DistWorkerRow) float64 { return w.SecondsSinceSeen }))
@@ -162,7 +151,4 @@ func RegisterDistWorker(r *Registry, fn func() DistWorkerStats) {
 	r.CounterFunc("flagsim_dist_worker_leases_lost_total",
 		"Executions abandoned after the dispatcher expired the lease.",
 		func() float64 { return fn().LeasesLost })
-	r.CounterFunc("flagsim_dist_worker_tier_hits_total",
-		"Executions served from the worker's local result tier.",
-		func() float64 { return fn().TierHits })
 }

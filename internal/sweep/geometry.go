@@ -16,8 +16,8 @@ import (
 // finishes, so a large sweep does not hold every geometry at once.
 //
 // The table is built at the batch's first compute, counting only the
-// specs not yet finished: a batch served wholly from the memo or the
-// tier never builds it, and pays one flag per spec for its bookkeeping.
+// specs not yet finished: a batch served wholly from the memo never
+// builds it, and pays one flag per spec for its bookkeeping.
 
 // geoKey identifies a batch's shared geometry: the flag name and size
 // as the specs state them.

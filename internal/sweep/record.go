@@ -62,14 +62,6 @@ func newRecord(res *sim.Result, enc Encoder) *Record {
 	}
 }
 
-// StoredRecord returns the record of a run whose canonical bytes were
-// already encoded, as a Tier reads it back: Bytes returns raw.
-func StoredRecord(sum Summary, raw []byte) *Record {
-	r := &Record{Summary: sum, raw: raw}
-	r.once.Do(func() {}) // the bytes exist: Bytes has nothing to encode
-	return r
-}
-
 // Bytes returns the run's canonical bytes. The first call encodes them
 // (concurrent first calls wait for that one encode) and releases the
 // slim copy; every call returns the same slice, which callers must not

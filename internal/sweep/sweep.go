@@ -40,10 +40,10 @@ type Options struct {
 	// Observer.
 	Probes []sim.Probe
 	// Observer, when non-nil, is handed every result the pool computes
-	// successfully, once, after its compute returns; never a memo hit, a
-	// tier hit, an error or a canceled compute. It installs nothing on
-	// the engine, so an untraced, probe-free compute keeps the fast path,
-	// and it reads the run's totals from the Result (sim.Result.Counts).
+	// successfully, once, after its compute returns; never a memo hit,
+	// an error or a canceled compute. It installs nothing on the engine,
+	// so an untraced, probe-free compute keeps the fast path, and it
+	// reads the run's totals from the Result (sim.Result.Counts).
 	// Pool workers call it concurrently, so it must be goroutine-safe.
 	// In record mode the Result aliases the computing crew member's
 	// arena, which that member's next compute overwrites: the Observer
@@ -63,26 +63,6 @@ type Options struct {
 	// to wire.EncodeRecord; library callers leave it nil and get
 	// independent live Results on every compute and every hit.
 	Encode Encoder
-	// Tier, when non-nil, is a second cache level behind the in-memory
-	// memo — typically disk-backed and process-lifetime-crossing (see
-	// internal/dist's content-addressed result store). Lookup order is
-	// memo → tier → compute; a tier hit is promoted into the memo, and
-	// every successful compute is written through. A Tier holds records,
-	// so it needs Encode. The Tier must be goroutine-safe: pool workers
-	// consult it concurrently.
-	Tier Tier
-}
-
-// Tier is a second, typically persistent record-cache level consulted
-// on memo misses and written through on computes. Get reports whether a
-// record for the key is present; a Tier that cannot produce a verified
-// record (missing, corrupt, unreadable) must return ok == false rather
-// than an error — the pool's fallback is simply to compute. Records are
-// content-addressed by Spec.Key(), so a Tier may be shared by any number
-// of processes on any number of machines.
-type Tier interface {
-	Get(key [sha256.Size]byte) (*Record, bool)
-	Put(key [sha256.Size]byte, rec *Record)
 }
 
 // CacheStats counts cache outcomes. A within-batch duplicate of a spec
@@ -99,11 +79,6 @@ type CacheStats struct {
 	// computes, which are never memoized). Like Entries it is a
 	// Sweeper-lifetime figure filled only by Sweeper.Stats.
 	Evictions int
-	// TierHits and TierMisses count second-tier lookups (Options.Tier):
-	// a TierHit served a memo miss without running the engine; a
-	// TierMiss fell through to a compute. Both stay zero without a Tier.
-	TierHits   int
-	TierMisses int
 }
 
 // HitRate returns hits / (hits + misses), or 0 for an empty tally.
@@ -176,16 +151,13 @@ type Sweeper struct {
 	probes   []sim.Probe
 	observer sim.ResultProbe
 	encode   Encoder
-	tier     Tier
 
 	mu    sync.Mutex
 	cache map[[sha256.Size]byte]*entry
 
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	evictions  atomic.Uint64
-	tierHits   atomic.Uint64
-	tierMisses atomic.Uint64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
 
 	// running and queued are the pool's live occupancy gauges: how many
 	// specs hold a worker slot and how many are waiting for one.
@@ -200,19 +172,14 @@ type Sweeper struct {
 	arenasTaken atomic.Int64
 }
 
-// New returns a Sweeper with an empty cache. It panics when opts sets a
-// Tier without Encode, which is always a programming error: a tier
-// stores records, and only record mode makes them.
+// New returns a Sweeper with an empty cache.
 func New(opts Options) *Sweeper {
 	w := opts.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if opts.Tier != nil && opts.Encode == nil {
-		panic("sweep: Options.Tier needs Options.Encode")
-	}
 	return &Sweeper{workers: w, probes: opts.Probes, observer: opts.Observer,
-		encode: opts.Encode, tier: opts.Tier, cache: make(map[[sha256.Size]byte]*entry)}
+		encode: opts.Encode, cache: make(map[[sha256.Size]byte]*entry)}
 }
 
 // Workers returns the pool's concurrency bound.
@@ -227,7 +194,6 @@ func (s *Sweeper) Stats() CacheStats {
 	return CacheStats{
 		Hits: int(s.hits.Load()), Misses: int(s.misses.Load()),
 		Entries: entries, Evictions: int(s.evictions.Load()),
-		TierHits: int(s.tierHits.Load()), TierMisses: int(s.tierMisses.Load()),
 	}
 }
 
@@ -273,7 +239,7 @@ func (s *Sweeper) PoolDepth() (running, queued int) {
 func (s *Sweeper) Run(ctx context.Context, specs []Spec) *Result {
 	start := time.Now()
 	batch := &Result{Runs: make([]RunResult, len(specs)), Workers: s.workers}
-	var hits, misses, tierHits, tierMisses atomic.Uint64
+	var hits, misses atomic.Uint64
 	share := s.newGeoShare(specs)
 	// one runs spec i on the calling crew member, whose arena it is.
 	one := func(i int, arena *crewArena) {
@@ -295,22 +261,6 @@ func (s *Sweeper) Run(ctx context.Context, specs []Spec) *Result {
 			s.mu.Unlock()
 
 			if !cached {
-				// Memo miss: consult the second tier before burning a
-				// compute. A tier hit never runs the engine (probes stay
-				// silent, like any cache hit) and is promoted into the
-				// memo by publishing through the entry as usual.
-				if s.tier != nil {
-					if rec, ok := s.tier.Get(key); ok {
-						e.rec = rec
-						close(e.done)
-						tierHits.Add(1)
-						s.tierHits.Add(1)
-						batch.Runs[i] = RunResult{Spec: specs[i], Record: rec, CacheHit: true}
-						return
-					}
-					tierMisses.Add(1)
-					s.tierMisses.Add(1)
-				}
 				t0 := time.Now()
 				var res *sim.Result
 				if f, geo, err := share.resolve(i); err != nil {
@@ -324,14 +274,6 @@ func (s *Sweeper) Run(ctx context.Context, specs []Spec) *Result {
 						e.rec = newRecord(res, s.encode)
 					} else {
 						e.res = res
-					}
-					if s.tier != nil {
-						// Write-through: the tier persists what the
-						// memo only remembers for the process lifetime.
-						// Errors are memoized in memory but never
-						// tiered — a disk tier must hold only verified
-						// results.
-						s.tier.Put(key, e.rec)
 					}
 					if s.observer != nil {
 						s.observer.ObserveResult(res)
@@ -390,10 +332,7 @@ func (s *Sweeper) Run(ctx context.Context, specs []Spec) *Result {
 	}
 	wg.Wait()
 	batch.Wall = time.Since(start)
-	batch.Cache = CacheStats{
-		Hits: int(hits.Load()), Misses: int(misses.Load()),
-		TierHits: int(tierHits.Load()), TierMisses: int(tierMisses.Load()),
-	}
+	batch.Cache = CacheStats{Hits: int(hits.Load()), Misses: int(misses.Load())}
 	return batch
 }
 

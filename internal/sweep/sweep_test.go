@@ -566,11 +566,10 @@ func (o *countingObserver) ObserveResult(res *sim.Result) {
 
 // TestObserverSeesComputesOnly: the Observer gets each successful
 // compute exactly once, on the fast path, and never a within-batch
-// duplicate, a memo hit, a tier hit, a failed compute or a canceled one.
+// duplicate, a memo hit, a failed compute or a canceled one.
 func TestObserverSeesComputesOnly(t *testing.T) {
 	obs := &countingObserver{}
-	tier := newMemTier()
-	s := New(Options{Workers: 2, Observer: obs, Encode: testEncode, Tier: tier})
+	s := New(Options{Workers: 2, Observer: obs, Encode: testEncode})
 	specs := testGrid()[:6]
 	batch := s.Run(nil, append(append([]Spec(nil), specs...), specs...))
 	if err := batch.Err(); err != nil {
@@ -584,9 +583,8 @@ func TestObserverSeesComputesOnly(t *testing.T) {
 			t.Error("a probe-free pooled compute took the instrumented opcodes")
 		}
 	}
-	// Memo hits, then tier hits on a fresh pool over the same tier.
+	// Memo hits, then a failed compute.
 	s.Run(nil, specs)
-	New(Options{Workers: 2, Observer: obs, Encode: testEncode, Tier: tier}).Run(nil, specs)
 	if b := s.Run(nil, []Spec{{Flag: "mauritius", Scenario: 99}}); b.Err() == nil {
 		t.Fatal("a spec with an unknown scenario computed")
 	}
