@@ -102,6 +102,7 @@ func BenchmarkServerSweepWarm(b *testing.B) {
 	ts := benchServer(b)
 	body := `{"base": {"flag": "mauritius", "scenario": 4}, "execs": ["static", "steal"], "seeds": [1, 2, 3, 4]}`
 	benchPost(b, ts.URL+"/v1/sweep", body) // populate the cache
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchPost(b, ts.URL+"/v1/sweep", body)

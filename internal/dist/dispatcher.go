@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -110,6 +111,8 @@ type RunFleetResponse struct {
 // SweepFleetResponse is flagdispd's /v1/sweep reply. Runs rows are in
 // expansion order — the same order flagsimd's /v1/sweep emits for the
 // same request, which is what makes the two directly comparable.
+// Dispatcher.Sweep writes it by append, with the bytes json.Marshal
+// gives it.
 type SweepFleetResponse struct {
 	Count int `json:"count"`
 	// Warm rows were served from the result tier; Computed rows were
@@ -496,7 +499,7 @@ type sweepKey struct {
 	warm bool
 	// rows counts the request's rows with this key.
 	rows int
-	summary
+	sweep.Summary
 	err error
 }
 
@@ -518,7 +521,7 @@ func (d *Dispatcher) Sweep(ctx context.Context, call server.SweepCall) (server.R
 			j = len(keys)
 			index[key] = j
 			stored, warm := d.store.read(key)
-			keys = append(keys, sweepKey{key: key, warm: warm, summary: stored.summary})
+			keys = append(keys, sweepKey{key: key, warm: warm, Summary: stored.Summary})
 			if !warm {
 				cold = append(cold, Job{KeyHex: hex.EncodeToString(key[:]), Req: call.Reqs[i]})
 			}
@@ -546,30 +549,36 @@ func (d *Dispatcher) Sweep(ctx context.Context, call server.SweepCall) (server.R
 			continue
 		}
 		if stored, ok := d.store.read(k.key); ok {
-			k.summary = stored.summary
+			k.Summary = stored.Summary
 		} else {
 			k.err = errNoResult
 			misses += k.rows
 		}
 	}
 	d.store.served(hits, misses)
-	resp := SweepFleetResponse{
-		Count: len(call.Specs), Warm: len(keys) - len(cold), Computed: added, Deduped: deduped,
-		Runs: make([]wire.SweepRunRow, len(call.Specs)),
-	}
-	for i, spec := range call.Specs {
-		k := &keys[rowKey[i]]
-		row := &resp.Runs[i]
-		row.Spec, row.CacheHit = spec.Label(), k.warm
-		if k.err != nil {
-			row.Err = k.err.Error()
-			resp.Failed++
-			continue
+	failed := 0
+	for j := range keys {
+		if keys[j].err != nil {
+			failed += keys[j].rows
 		}
-		row.MakespanNS, row.Events, row.GridSHA256 = k.makespanNS, k.events, k.gridSHA256
 	}
-	resp.WallNS = int64(d.now().Sub(start))
-	return server.Reply{Body: resp, CacheHit: len(cold) == 0}, nil
+	wall := d.now().Sub(start)
+	b := wire.SweepBody(len(call.Specs))
+	b = strconv.AppendInt(append(b, `{"count":`...), int64(len(call.Specs)), 10)
+	b = strconv.AppendInt(append(b, `,"warm":`...), int64(len(keys)-len(cold)), 10)
+	b = strconv.AppendInt(append(b, `,"computed":`...), int64(added), 10)
+	b = strconv.AppendInt(append(b, `,"deduped":`...), int64(deduped), 10)
+	b = strconv.AppendInt(append(b, `,"failed":`...), int64(failed), 10)
+	b = strconv.AppendInt(append(b, `,"wall_ns":`...), int64(wall), 10)
+	b = append(b, `,"runs":[`...)
+	for i, spec := range call.Specs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		k := &keys[rowKey[i]]
+		b = wire.AppendSweepRow(b, spec, k.warm, k.Summary, k.err)
+	}
+	return server.Reply{Body: append(b, "]}\n"...), CacheHit: len(cold) == 0}, nil
 }
 
 // submit enqueues jobs durably under runID and waits until each one

@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -94,12 +96,17 @@ func FuzzDistWireDecode(f *testing.F) {
 		check(t, "DecodeReport", err)
 		if e, err := decodeResult(raw); err == nil {
 			// An accepted stored result serves exactly the stored bytes,
-			// and its row carries a digest the tier can read back.
+			// and a row written from its summary says what they say.
 			if string(e.payload) != string(raw) {
 				t.Errorf("accepted result serves %q, stored %q", e.payload, raw)
 			}
-			if _, err := ParseKey(e.gridSHA256); err != nil {
-				t.Errorf("accepted result has grid digest %q: %v", e.gridSHA256, err)
+			var res wire.SimResult
+			if err := json.Unmarshal(raw, &res); err != nil {
+				t.Fatalf("accepted result does not decode: %v", err)
+			}
+			if got := hex.EncodeToString(e.GridSHA256[:]); got != res.GridSHA256 ||
+				int64(e.Makespan) != res.MakespanNS || e.Events != res.Events {
+				t.Errorf("accepted result's summary %+v (digest %s), payload %+v", e.Summary, got, res)
 			}
 		} else {
 			check(t, "decodeResult", err)

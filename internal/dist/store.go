@@ -44,7 +44,9 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"flagsim/internal/sweep"
 	"flagsim/internal/wire"
 )
 
@@ -81,34 +83,31 @@ type StoreStats struct {
 	Mismatches int64 `json:"mismatches"`
 }
 
-// summary is what a sweep row reads from a stored result: its makespan,
-// its event count and its grid digest, kept as the hex string the row
-// carries.
-type summary struct {
-	makespanNS int64
-	events     uint64
-	gridSHA256 string
-}
-
-// entry is one stored result: its canonical bytes and their summary.
+// entry is one stored result: its canonical bytes and the summary a
+// sweep row reads from them.
 type entry struct {
 	payload []byte
-	summary
+	sweep.Summary
 }
 
 // decodeResult is the one decoder of a stored result: the payload must
-// decode strictly as a wire.SimResult whose grid digest is 64 hex
-// digits. Failures wrap ErrWire.
+// decode strictly as a wire.SimResult whose grid digest is 64 lower-case
+// hex digits, the form MarshalResult writes and a sweep row writes back
+// from the summary. Failures wrap ErrWire.
 func decodeResult(payload []byte) (entry, error) {
 	var res wire.SimResult
 	if err := strictUnmarshal(payload, &res); err != nil {
 		return entry{}, err
 	}
-	if _, err := ParseKey(res.GridSHA256); err != nil {
+	grid, err := ParseKey(res.GridSHA256)
+	if err != nil {
 		return entry{}, err
 	}
-	return entry{payload: payload, summary: summary{
-		makespanNS: res.MakespanNS, events: res.Events, gridSHA256: res.GridSHA256,
+	if hex.EncodeToString(grid[:]) != res.GridSHA256 {
+		return entry{}, fmt.Errorf("%w: grid digest %q is not lower-case hex", ErrWire, res.GridSHA256)
+	}
+	return entry{payload: payload, Summary: sweep.Summary{
+		Makespan: time.Duration(res.MakespanNS), Events: res.Events, GridSHA256: grid,
 	}}, nil
 }
 

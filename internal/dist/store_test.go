@@ -343,8 +343,8 @@ func TestStorePutRefusesNonResults(t *testing.T) {
 
 // TestStoreDecodeRejects: the store's decoder reads a wire result's
 // summary and refuses, with ErrWire, a payload that is not a wire result
-// with a 64-hex-digit grid digest, so a frame holding one is purged
-// instead of served.
+// with a grid digest of 64 lower-case hex digits, so a frame holding one
+// is purged instead of served.
 func TestStoreDecodeRejects(t *testing.T) {
 	res, err := sweep.Spec{Flag: "mauritius", Scenario: 2, Seed: 11}.RunOnce(nil)
 	if err != nil {
@@ -358,10 +358,9 @@ func TestStoreDecodeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wire bytes rejected: %v", err)
 	}
-	want := summary{makespanNS: int64(res.Makespan), events: res.Events,
-		gridSHA256: fmt.Sprintf("%x", res.Grid.Digest())}
-	if e.summary != want || !bytes.Equal(e.payload, good) {
-		t.Fatalf("decoded %+v, want %+v over the same bytes", e.summary, want)
+	want := sweep.Summary{Makespan: res.Makespan, Events: res.Events, GridSHA256: res.Grid.Digest()}
+	if e.Summary != want || !bytes.Equal(e.payload, good) {
+		t.Fatalf("decoded %+v, want %+v over the same bytes", e.Summary, want)
 	}
 	cases := map[string]string{
 		"not json":        `{{{`,
@@ -369,6 +368,7 @@ func TestStoreDecodeRejects(t *testing.T) {
 		"unknown field":   `{"strategy":"s","makespan_ns":1,"grid_sha256":"` + fmt.Sprintf("%064x", 0) + `","zzz":1}`,
 		"short digest":    `{"strategy":"s","makespan_ns":1,"grid_sha256":"00"}`,
 		"non-hex digest":  `{"strategy":"s","makespan_ns":1,"grid_sha256":"` + fmt.Sprintf("%064s", "xyz") + `"}`,
+		"upper-case hex":  `{"strategy":"s","makespan_ns":1,"grid_sha256":"` + fmt.Sprintf("%064X", 0xabc) + `"}`,
 		"trailing data":   string(good) + ` {}`,
 		"missing payload": ``,
 	}

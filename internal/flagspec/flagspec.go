@@ -111,18 +111,25 @@ func (f *Flag) LayerNames() []string {
 	return out
 }
 
-// Colors returns the distinct paint colors the flag needs, in stable order.
-// This is the set of implements a team must be handed.
+// Colors returns the distinct paint colors the flag needs, in ascending
+// order. This is the set of implements a team must be handed.
 func (f *Flag) Colors() []palette.Color {
-	set := make(map[palette.Color]bool)
+	// The table covers every uint8, so a colour outside the palette (a
+	// flag that was never validated) is listed in its place too.
+	var used [256]bool
+	n := 0
 	for _, l := range f.Layers {
-		set[l.Color] = true
+		if !used[l.Color] {
+			used[l.Color] = true
+			n++
+		}
 	}
-	out := make([]palette.Color, 0, len(set))
-	for c := range set {
-		out = append(out, c)
+	out := make([]palette.Color, 0, n)
+	for c := range used {
+		if used[c] {
+			out = append(out, palette.Color(c))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package flagspec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -125,6 +126,12 @@ func TestColors(t *testing.T) {
 	}
 	if len(Japan.Colors()) != 2 {
 		t.Fatalf("japan needs %d colors, want 2", len(Japan.Colors()))
+	}
+	// A flag that was never validated may paint outside the palette;
+	// such a colour is listed once, in ascending order, like any other.
+	odd := &Flag{Layers: []Layer{{Color: 200}, {Color: palette.Blue}, {Color: 200}, {Color: palette.Red}, {Color: 255}}}
+	if got := fmt.Sprint(odd.Colors()); got != "[red blue color(200) color(255)]" {
+		t.Fatalf("out-of-palette colors %s", got)
 	}
 }
 

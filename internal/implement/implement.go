@@ -129,8 +129,15 @@ type Implement struct {
 // Set is the equipment a team is handed: for each color, one or more
 // implements. The paper's core setup is exactly one per color; the E21
 // ablation hands out extras to show contention dissolving.
+//
+// Only palette colours are looked up: an implement of a colour outside
+// the palette, which NewSetN accepts, is listed by All but found by no
+// ForColor, Has or Covers.
 type Set struct {
-	byColor map[palette.Color][]*Implement
+	// byColor lists each palette colour's implements in ID insertion
+	// order, as capped ranges of all wherever a colour's implements
+	// were added together.
+	byColor [palette.NColors][]*Implement
 	all     []*Implement
 }
 
@@ -140,26 +147,24 @@ func NewSet(kind Kind, colors []palette.Color) *Set {
 }
 
 // NewSetN builds a set with n implements of the given kind per color.
+// The implements share one backing array.
 func NewSetN(kind Kind, colors []palette.Color, n int) *Set {
 	if n <= 0 {
 		panic("implement: NewSetN with n <= 0")
 	}
-	s := &Set{byColor: make(map[palette.Color][]*Implement)}
-	id := 0
-	for _, c := range colors {
-		for i := 0; i < n; i++ {
-			s.add(&Implement{ID: id, Color: c, Kind: kind, Spec: DefaultSpec(kind)})
-			id++
-		}
+	impls := make([]Implement, len(colors)*n)
+	all := make([]*Implement, len(impls))
+	for i := range impls {
+		impls[i] = Implement{ID: i, Color: colors[i/n], Kind: kind, Spec: DefaultSpec(kind)}
+		all[i] = &impls[i]
 	}
-	return s
+	return newSet(all)
 }
 
 // NewMixedSet builds a set from explicit implements, filling in default
 // specs for zero-valued ones. It returns an error on duplicate IDs or
 // invalid colors so a hand-built roster can't silently alias.
 func NewMixedSet(impls []*Implement) (*Set, error) {
-	s := &Set{byColor: make(map[palette.Color][]*Implement)}
 	seen := make(map[int]bool)
 	for _, im := range impls {
 		if im == nil {
@@ -178,21 +183,42 @@ func NewMixedSet(impls []*Implement) (*Set, error) {
 		if im.Spec == (Spec{}) {
 			im.Spec = DefaultSpec(im.Kind)
 		}
-		s.add(im)
 	}
-	if len(s.all) == 0 {
+	if len(impls) == 0 {
 		return nil, fmt.Errorf("implement: empty set")
 	}
-	return s, nil
+	return newSet(append([]*Implement(nil), impls...)), nil
 }
 
-func (s *Set) add(im *Implement) {
-	s.byColor[im.Color] = append(s.byColor[im.Color], im)
-	s.all = append(s.all, im)
+// newSet indexes all, which the set keeps, by colour. Each run of
+// neighbours of one colour becomes a capped range of all; a colour
+// whose implements are not neighbours gets its own list, which the cap
+// makes append copy rather than overwrite all.
+func newSet(all []*Implement) *Set {
+	s := &Set{all: all}
+	for i := 0; i < len(all); {
+		c, j := all[i].Color, i+1
+		for j < len(all) && all[j].Color == c {
+			j++
+		}
+		switch {
+		case !c.Valid():
+			// Listed by All, found by no lookup.
+		case s.byColor[c] == nil:
+			s.byColor[c] = all[i:j:j]
+		default:
+			s.byColor[c] = append(s.byColor[c], all[i:j]...)
+		}
+		i = j
+	}
+	return s
 }
 
 // ForColor returns the implements of color c (nil if the set has none).
 func (s *Set) ForColor(c palette.Color) []*Implement {
+	if !c.Valid() {
+		return nil
+	}
 	return s.byColor[c]
 }
 
@@ -213,14 +239,14 @@ func (s *Set) Colors() []palette.Color {
 // Has reports whether the set holds at least one implement of color c.
 // It is the allocation-free per-color form of Covers, for hot-path
 // configuration checks that must not build a colors slice.
-func (s *Set) Has(c palette.Color) bool { return len(s.byColor[c]) > 0 }
+func (s *Set) Has(c palette.Color) bool { return len(s.ForColor(c)) > 0 }
 
 // Covers reports whether the set has at least one implement for every
 // color in need. A team whose set does not cover its flag cannot finish;
 // the simulator rejects the run up front instead of deadlocking.
 func (s *Set) Covers(need []palette.Color) error {
 	for _, c := range need {
-		if len(s.byColor[c]) == 0 {
+		if !s.Has(c) {
 			return fmt.Errorf("implement: set has no %s implement", c)
 		}
 	}

@@ -1,6 +1,7 @@
 package implement
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -150,5 +151,58 @@ func TestSetColors(t *testing.T) {
 	// Colors come back in palette order, not insertion order.
 	if colors[0] != palette.Red || colors[1] != palette.Green {
 		t.Fatalf("colors %v not in palette order", colors)
+	}
+}
+
+// TestSetOutOfPaletteColor: only palette colours are looked up. An
+// implement of a colour outside the palette keeps its place and ID in
+// All, but ForColor, Has and Covers find none, and never index past
+// the per-colour table.
+func TestSetOutOfPaletteColor(t *testing.T) {
+	odd := []palette.Color{palette.NColors, 200, 255}
+	s := NewSetN(Crayon, append([]palette.Color{palette.Red}, odd...), 2)
+	if got := len(s.All()); got != 8 {
+		t.Fatalf("set size %d, want 8", got)
+	}
+	for i, im := range s.All() {
+		if im.ID != i {
+			t.Fatalf("implement %d has ID %d", i, im.ID)
+		}
+	}
+	for _, c := range odd {
+		if s.ForColor(c) != nil || s.Has(c) {
+			t.Errorf("%v: ForColor %v, Has %v, want nil and false", c, s.ForColor(c), s.Has(c))
+		}
+		if err := s.Covers([]palette.Color{palette.Red, c}); err == nil || !strings.Contains(err.Error(), c.String()) {
+			t.Errorf("%v: Covers = %v, want an error naming it", c, err)
+		}
+	}
+	if got := len(s.ForColor(palette.Red)); got != 2 {
+		t.Errorf("red has %d implements, want 2", got)
+	}
+	if got := s.Colors(); len(got) != 1 || got[0] != palette.Red {
+		t.Errorf("Colors = %v, want [red]", got)
+	}
+}
+
+// TestSetForColorKeepsIDOrder: a colour listed twice, apart, holds its
+// implements in ID order, and growing its list leaves All untouched.
+func TestSetForColorKeepsIDOrder(t *testing.T) {
+	s := NewSetN(Dauber, []palette.Color{palette.Red, palette.Blue, palette.Red}, 2)
+	ids := func(ims []*Implement) []int {
+		var out []int
+		for _, im := range ims {
+			out = append(out, im.ID)
+		}
+		return out
+	}
+	if got := ids(s.ForColor(palette.Red)); fmt.Sprint(got) != "[0 1 4 5]" {
+		t.Errorf("red IDs %v, want [0 1 4 5]", got)
+	}
+	if got := ids(s.ForColor(palette.Blue)); fmt.Sprint(got) != "[2 3]" {
+		t.Errorf("blue IDs %v, want [2 3]", got)
+	}
+	if got := ids(s.All()); fmt.Sprint(got) != "[0 1 2 3 4 5]" {
+		t.Errorf("All IDs %v, want [0 1 2 3 4 5]", got)
 	}
 }

@@ -22,6 +22,7 @@ package processor
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"flagsim/internal/geom"
@@ -222,7 +223,8 @@ func (pr *Processor) Breaks(im *implement.Implement) bool {
 }
 
 // Team builds n processors named P1..Pn with the given profile template
-// (names overridden) and per-processor split streams.
+// (names overridden) and per-processor split streams. The processors
+// share one backing array.
 func Team(n int, template Profile, stream *rng.Stream) ([]*Processor, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("processor: team of %d", n)
@@ -230,15 +232,29 @@ func Team(n int, template Profile, stream *rng.Stream) ([]*Processor, error) {
 	if stream == nil {
 		stream = rng.New(0)
 	}
+	procs := make([]Processor, n)
 	out := make([]*Processor, n)
 	for i := range out {
 		p := template
-		p.Name = fmt.Sprintf("P%d", i+1)
-		proc, err := New(p, stream.SplitLabeled(p.Name))
-		if err != nil {
+		p.Name = memberName(i)
+		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		out[i] = proc
+		procs[i] = Processor{Profile: p, rng: stream.SplitLabeled(p.Name)}
+		out[i] = &procs[i]
 	}
 	return out, nil
+}
+
+// memberNames are the names of a team's first members, so a team of up
+// to 16 names its members without formatting.
+var memberNames = [...]string{"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8",
+	"P9", "P10", "P11", "P12", "P13", "P14", "P15", "P16"}
+
+// memberName is the name of a team's member i (0-based): "P1" for 0.
+func memberName(i int) string {
+	if i < len(memberNames) {
+		return memberNames[i]
+	}
+	return "P" + strconv.Itoa(i+1)
 }

@@ -1,7 +1,9 @@
 package processor
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -255,6 +257,24 @@ func TestTeamNamesAndErrors(t *testing.T) {
 	}
 	if _, err := Team(0, DefaultProfile("x"), rng.New(1)); err == nil {
 		t.Fatal("expected error for empty team")
+	}
+	// Past the static names, and on every member, a name and a stream
+	// are what New with a formatted name and a labeled split gives.
+	big, err := Team(20, DefaultProfile("x"), rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pr := range big {
+		name := fmt.Sprintf("P%d", i+1)
+		ref := MustNew(DefaultProfile(name), rng.New(7).SplitLabeled(name))
+		if pr.Name != name || pr.rng.Uint64() != ref.rng.Uint64() {
+			t.Fatalf("member %d: name %q, want %q, or its stream differs", i, pr.Name, name)
+		}
+	}
+	bad := DefaultProfile("x")
+	bad.Skill = 0
+	if _, err := Team(2, bad, rng.New(1)); err == nil || !strings.Contains(err.Error(), "P1") {
+		t.Fatalf("invalid template: err = %v, want one naming P1", err)
 	}
 }
 

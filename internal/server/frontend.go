@@ -177,9 +177,12 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, append(raw, '\n'))
 }
 
-// writeBody writes an encoded JSON body with the given status.
+// writeBody writes an encoded JSON body with the given status and its
+// Content-Length, so net/http sends it whole rather than chunked.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
 }
@@ -273,11 +276,17 @@ func (f *Frontend) handleRun(w http.ResponseWriter, r *http.Request) {
 		f.writeTrace(ctx, w, rep)
 		return
 	}
-	if raw, ok := rep.Body.([]byte); ok {
+	writeReply(w, rep.Body)
+}
+
+// writeReply writes a backend's 200 body: a []byte as is, anything else
+// marshaled.
+func writeReply(w http.ResponseWriter, body any) {
+	if raw, ok := body.([]byte); ok {
 		writeBody(w, http.StatusOK, raw)
 		return
 	}
-	WriteJSON(w, http.StatusOK, rep.Body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -311,7 +320,7 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sum.Runs, sum.CacheHit = len(specs), rep.CacheHit
-	WriteJSON(w, http.StatusOK, rep.Body)
+	writeReply(w, rep.Body)
 }
 
 // fail writes a backend failure's row of the status table and labels

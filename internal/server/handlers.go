@@ -9,7 +9,6 @@ package server
 // function of the spec, byte-identical to what a library call computes.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -51,28 +50,16 @@ type RunResponse struct {
 // included, without decoding or re-encoding the result section.
 func runBody(runID, spec string, hit bool, elapsed time.Duration, result []byte) []byte {
 	b := make([]byte, 0, len(result)+len(runID)+len(spec)+80)
-	b = appendJSONString(append(b, `{"run_id":`...), runID)
-	b = appendJSONString(append(b, `,"spec":`...), spec)
+	b = wire.AppendJSONString(append(b, `{"run_id":`...), runID)
+	b = wire.AppendJSONString(append(b, `,"spec":`...), spec)
 	b = strconv.AppendBool(append(b, `,"cache_hit":`...), hit)
 	b = strconv.AppendInt(append(b, `,"elapsed_ns":`...), int64(elapsed), 10)
 	b = append(append(b, `,"result":`...), result...)
 	return append(b, "}\n"...)
 }
 
-// appendJSONString appends s as encoding/json quotes it. Run IDs and
-// spec labels are printable ASCII that needs no escaping; a string with
-// any other byte takes json.Marshal's path, so the bytes always match.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s)
-			return append(b, q...)
-		}
-	}
-	return append(append(append(b, '"'), s...), '"')
-}
-
-// SweepResponse is the /v1/sweep reply.
+// SweepResponse is the /v1/sweep reply. flagsimd writes it by append
+// (Server.Sweep), with the bytes json.Marshal gives it.
 type SweepResponse struct {
 	Count   int           `json:"count"`
 	Workers int           `json:"workers"`

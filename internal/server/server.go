@@ -34,13 +34,13 @@ package server
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"time"
 
 	"flagsim/internal/obs"
@@ -275,37 +275,45 @@ func runReply(call RunCall, rec *sweep.Record, hit bool, elapsed time.Duration) 
 }
 
 // Sweep is the local Backend's grid: behind the admission gate, fanned
-// across the sweep pool.
+// across the sweep pool. The reply is a SweepResponse written by append,
+// each row from its run's record.
 func (s *Server) Sweep(ctx context.Context, call SweepCall) (Reply, error) {
 	if err := s.admit(ctx); err != nil {
 		return Reply{}, err
 	}
 	defer s.gate.release()
 	batch := s.sweeper.Run(ctx, call.Specs)
-	resp := SweepResponse{
-		Count:   len(batch.Runs),
-		Workers: batch.Workers,
-		WallNS:  int64(batch.Wall),
-		Hits:    batch.Cache.Hits,
-		Misses:  batch.Cache.Misses,
-	}
-	canceled := false
+	failed, canceled := 0, false
 	for _, run := range batch.Runs {
-		row := SweepRunRow{Spec: run.Spec.Label(), CacheHit: run.CacheHit}
 		if run.Err != nil {
-			resp.Failed++
-			row.Err = run.Err.Error()
+			failed++
 			canceled = canceled || errors.Is(run.Err, sim.ErrCanceled)
-		} else {
-			rec := run.Record
-			row.MakespanNS = int64(rec.Makespan)
-			row.Events = rec.Events
-			row.GridSHA256 = hex.EncodeToString(rec.GridSHA256[:])
 		}
-		resp.Runs = append(resp.Runs, row)
 	}
 	if canceled {
-		return Reply{}, fmt.Errorf("sweep: %d of %d runs: %w", resp.Failed, resp.Count, sim.ErrCanceled)
+		return Reply{}, fmt.Errorf("sweep: %d of %d runs: %w", failed, len(batch.Runs), sim.ErrCanceled)
 	}
-	return Reply{Body: resp, CacheHit: batch.Cache.Misses == 0 && batch.Cache.Hits > 0}, nil
+	b := wire.SweepBody(len(batch.Runs))
+	b = strconv.AppendInt(append(b, `{"count":`...), int64(len(batch.Runs)), 10)
+	b = strconv.AppendInt(append(b, `,"workers":`...), int64(batch.Workers), 10)
+	b = strconv.AppendInt(append(b, `,"wall_ns":`...), int64(batch.Wall), 10)
+	b = strconv.AppendInt(append(b, `,"cache_hits":`...), int64(batch.Cache.Hits), 10)
+	b = strconv.AppendInt(append(b, `,"cache_misses":`...), int64(batch.Cache.Misses), 10)
+	b = strconv.AppendInt(append(b, `,"failed":`...), int64(failed), 10)
+	b = append(b, `,"runs":`...)
+	sep := byte('[')
+	for _, run := range batch.Runs {
+		var sum sweep.Summary
+		if run.Err == nil {
+			sum = run.Record.Summary
+		}
+		b = wire.AppendSweepRow(append(b, sep), run.Spec, run.CacheHit, sum, run.Err)
+		sep = ','
+	}
+	if len(batch.Runs) == 0 {
+		b = append(b, "null"...) // json.Marshal's form of a nil Runs
+	} else {
+		b = append(b, ']')
+	}
+	return Reply{Body: append(b, "}\n"...), CacheHit: batch.Cache.Misses == 0 && batch.Cache.Hits > 0}, nil
 }

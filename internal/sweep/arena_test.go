@@ -10,7 +10,6 @@ package sweep
 
 import (
 	"crypto/sha256"
-	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -77,27 +76,19 @@ func (o *allocObserver) ObserveResult(*sim.Result) {
 // (each at least as large) of its own.
 func TestCrewComputeAllocations(t *testing.T) {
 	const w, h, n = 120, 80, 6
-	// Exact counts: the memo entry and its channel (2), the record with
-	// its slim Result, plan and stats copies (5), the implement set of
-	// Mauritius's four colours, Flag.Colors included (17), and a team of
-	// 4 for static and steal (13) or of 3 for dynamic (10).
-	//
-	// On a 32-bit platform the set takes one allocation fewer (16). It
-	// appends its four implements to one list, and append's first array
-	// is 8 bytes, the smallest size class: that holds one 8-byte pointer,
-	// so the list grows through three arrays, but two 4-byte pointers, so
-	// it grows through two.
-	var fewer uint64
-	if bits.UintSize == 32 {
-		fewer = 1
-	}
+	// Exact counts, the same on 32- and 64-bit platforms: the memo entry
+	// and its channel (2), the record with its slim Result, plan and
+	// stats copies (5), Flag.Colors's list (1), the implement set with
+	// its implements' one array and their pointer list (3), and a team's
+	// processor array and pointer list (2) with one random stream per
+	// member: 4 for static and steal, 3 for dynamic.
 	for _, c := range []struct {
 		exec   Exec
 		allocs uint64
 	}{
-		{ExecStatic, 37},
-		{ExecSteal, 37},
-		{ExecDynamic, 34},
+		{ExecStatic, 17},
+		{ExecSteal, 17},
+		{ExecDynamic, 16},
 	} {
 		obs := &allocObserver{mallocs: make([]uint64, 0, n), bytes: make([]uint64, 0, n)}
 		s := New(Options{Workers: 1, Encode: testEncode, Observer: obs})
@@ -128,8 +119,8 @@ func TestCrewComputeAllocations(t *testing.T) {
 		}
 		for i := 1; i < n; i++ {
 			allocs, bytes := obs.mallocs[i]-obs.mallocs[i-1], obs.bytes[i]-obs.bytes[i-1]
-			if want := c.allocs - fewer; allocs != want && !raceEnabled {
-				t.Errorf("%v: compute %d allocates %d times, want %d", c.exec, i+1, allocs, want)
+			if allocs != c.allocs && !raceEnabled {
+				t.Errorf("%v: compute %d allocates %d times, want %d", c.exec, i+1, allocs, c.allocs)
 			}
 			if bytes >= w*h {
 				t.Errorf("%v: compute %d allocates %d B, at least a %dx%d grid's %d B", c.exec, i+1, bytes, w, h, w*h)

@@ -101,7 +101,13 @@ type Spec struct {
 // Label renders a compact human-readable identity for tables and errors.
 func (s Spec) Label() string {
 	var buf [96]byte
-	b := append(buf[:0], s.Exec.String()...)
+	return string(s.AppendLabel(buf[:0]))
+}
+
+// AppendLabel appends the spec's Label to b and returns the extended
+// buffer.
+func (s Spec) AppendLabel(b []byte) []byte {
+	b = append(b, s.Exec.String()...)
 	b = append(append(b, '/'), s.Flag...)
 	if s.Exec == ExecDynamic {
 		b = append(append(b, '/'), s.Policy.String()...)
@@ -119,7 +125,7 @@ func (s Spec) Label() string {
 	if s.Faults != nil {
 		b = append(append(b, "/faults="...), s.Faults.Label()...)
 	}
-	return string(b)
+	return b
 }
 
 // Key returns the spec's content address: a SHA-256 digest over a

@@ -66,19 +66,28 @@ func (r SweepRequest) CheckLimits() error {
 // is what a dispatcher journals and hands to workers: it round-trips
 // through JSON and re-resolves identically on any machine.
 func (r SweepRequest) Resolve() ([]RunRequest, []sweep.Spec, error) {
-	var reqs []RunRequest
-	var specs []sweep.Spec
-	for _, exec := range orBase(r.Execs, r.Base.Exec) {
-		for _, fl := range orBase(r.Flags, r.Base.Flag) {
-			for _, scen := range orBase(r.Scenarios, r.Base.Scenario) {
-				for _, workers := range orBase(r.Workers, r.Base.Workers) {
-					for _, kind := range orBase(r.Kinds, r.Base.Kind) {
-						for _, pc := range orBase(r.PerColor, r.Base.PerColor) {
-							for _, pol := range orBase(r.Policies, r.Base.Policy) {
-								for _, seed := range orBase(r.Seeds, r.Base.Seed) {
-									for _, setup := range orBase(r.Setups, r.Base.Setup) {
+	// Size saturates, and Expand and Specs have callers with no cap on
+	// it, so the slices are sized for at most maxPresized cells; a
+	// larger grid grows them by append.
+	n := min(r.Size(), maxPresized)
+	reqs := make([]RunRequest, 0, n)
+	specs := make([]sweep.Spec, 0, n)
+	execs, flags := orBase(r.Execs, r.Base.Exec), orBase(r.Flags, r.Base.Flag)
+	scenarios, workers := orBase(r.Scenarios, r.Base.Scenario), orBase(r.Workers, r.Base.Workers)
+	kinds, perColor := orBase(r.Kinds, r.Base.Kind), orBase(r.PerColor, r.Base.PerColor)
+	policies, seeds := orBase(r.Policies, r.Base.Policy), orBase(r.Seeds, r.Base.Seed)
+	setups := orBase(r.Setups, r.Base.Setup)
+	for _, exec := range execs {
+		for _, fl := range flags {
+			for _, scen := range scenarios {
+				for _, w := range workers {
+					for _, kind := range kinds {
+						for _, pc := range perColor {
+							for _, pol := range policies {
+								for _, seed := range seeds {
+									for _, setup := range setups {
 										req := r.Base
-										req.Exec, req.Flag, req.Scenario, req.Workers = exec, fl, scen, workers
+										req.Exec, req.Flag, req.Scenario, req.Workers = exec, fl, scen, w
 										req.Kind, req.PerColor, req.Policy = kind, pc, pol
 										req.Seed, req.Setup = seed, setup
 										spec, err := req.Spec()
@@ -98,6 +107,10 @@ func (r SweepRequest) Resolve() ([]RunRequest, []sweep.Spec, error) {
 	}
 	return reqs, specs, nil
 }
+
+// maxPresized is the most cells Resolve sizes its slices for up front:
+// the front end's default grid cap.
+const maxPresized = 4096
 
 // orBase returns axis, or the base value alone when the axis is empty.
 func orBase[T any](axis []T, base T) []T {
